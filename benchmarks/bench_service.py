@@ -1,12 +1,12 @@
 """SERVICE bench: streaming throughput, latency, and the incremental gate.
 
-Two BENCH series plus one gate, all on seeded Poisson workloads:
+Two BENCH series plus two gates, all on seeded Poisson workloads:
 
 1. *sustained throughput* -- jobs per wall-clock second the always-on
    :class:`~repro.service.SchedulingService` sustains end to end
    (submissions through drain) at several arrival rates;
 2. *scheduling latency* -- the per-arrival admission+placement latency
-   percentiles (p50/p99) the service reports; and
+   percentiles (p50/p99) the service reports;
 3. the **incremental re-scheduling gate**: on a 500-job streaming
    workload, event-driven incremental advancement must beat the
    honest from-scratch baseline (replay the full admitted history on
@@ -14,7 +14,11 @@ Two BENCH series plus one gate, all on seeded Poisson workloads:
    baseline is measured with an early exit -- once it has already
    burned the speedup budget the bound is proven and the remaining
    events are skipped -- so a regression fails fast instead of
-   stalling CI.
+   stalling CI; and
+4. the **flat-latency gate**: the p99 scheduling latency of a
+   2000-job stream may exceed that of a 250-job stream by at most
+   :data:`MAX_P99_GROWTH` -- per-event cost must follow the active
+   work, not the admitted history.
 
 Results land in ``BENCH_service.json`` (summarized by
 ``crsharing bench-report``).
@@ -32,6 +36,12 @@ MIN_INCREMENTAL_SPEEDUP = 5.0
 GATE_JOBS = 500
 GATE_RATE = 4.0
 GATE_QUEUES = 16
+
+#: The flat-latency gate: p99(long stream) / p99(short stream) at the
+#: gate's rate and queue count must stay at or below this.
+MAX_P99_GROWTH = 1.5
+FLAT_SHORT_JOBS = 250
+FLAT_LONG_JOBS = 2000
 
 #: Arrival rates of the sustained-throughput series.
 THROUGHPUT_RATES = (1.0, 2.0, 4.0)
@@ -60,7 +70,8 @@ def test_service_smoke_throughput(benchmark):
 
 
 def test_service_streaming_series_and_gate(results_dir):
-    """Both BENCH series plus the >= 5x incremental-vs-scratch gate."""
+    """Both BENCH series, the >= 5x incremental-vs-scratch gate, and
+    the flat-latency gate."""
     from conftest import write_bench_store
 
     rows = []
@@ -120,11 +131,38 @@ def test_service_streaming_series_and_gate(results_dir):
             "speedup": round(speedup, 2),
         }
     )
+    # The flat-latency gate: same rate and queues, short vs long stream.
+    p99_ms = {}
+    for jobs in (FLAT_SHORT_JOBS, FLAT_LONG_JOBS):
+        _, report = _run_incremental(GATE_RATE, jobs, GATE_QUEUES)
+        assert report.completed == jobs
+        p99_ms[jobs] = report.latency_percentiles["p99"] * 1e3
+    growth = p99_ms[FLAT_LONG_JOBS] / p99_ms[FLAT_SHORT_JOBS]
+    rows.append(
+        {
+            "series": "flat-latency",
+            "rate": GATE_RATE,
+            "queues": GATE_QUEUES,
+            "short_jobs": FLAT_SHORT_JOBS,
+            "long_jobs": FLAT_LONG_JOBS,
+            "p99_short_ms": round(p99_ms[FLAT_SHORT_JOBS], 3),
+            "p99_long_ms": round(p99_ms[FLAT_LONG_JOBS], 3),
+            "p99_growth": round(growth, 3),
+        }
+    )
     write_bench_store(
         results_dir,
         "service",
         rows,
-        verdict=bool(speedup >= MIN_INCREMENTAL_SPEEDUP),
+        verdict=bool(
+            speedup >= MIN_INCREMENTAL_SPEEDUP and growth <= MAX_P99_GROWTH
+        ),
+    )
+    assert growth <= MAX_P99_GROWTH, (
+        f"p99 scheduling latency grew {growth:.2f}x from a "
+        f"{FLAT_SHORT_JOBS}-job to a {FLAT_LONG_JOBS}-job stream "
+        f"(allowed {MAX_P99_GROWTH}x; {p99_ms[FLAT_SHORT_JOBS]:.3f} ms -> "
+        f"{p99_ms[FLAT_LONG_JOBS]:.3f} ms)"
     )
     assert speedup >= MIN_INCREMENTAL_SPEEDUP, (
         f"incremental re-scheduling only {speedup:.1f}x faster than "

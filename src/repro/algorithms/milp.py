@@ -30,8 +30,6 @@ instances in tests; size grows as ``2 * |jobs| * T`` variables.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import lil_matrix
 
 from ..core.instance import Instance
 from ..core.lower_bounds import length_bound, work_bound
@@ -60,6 +58,11 @@ def milp_feasible(instance: Instance, horizon: int) -> bool:
     instance.require_static("milp_feasible")
     if horizon <= 0:
         return False
+    # scipy is imported here, not at module level: it is about half of
+    # ``import repro``'s cost and only this oracle needs it.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import lil_matrix
+
     jobs = _job_list(instance)
     J = len(jobs)
     T = horizon

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.checkpoint import require_extension
 from ..core.instance import Instance
 from ..core.kernel import (
     CompletionRecorder,
@@ -133,13 +134,9 @@ class VectorState:
         self._work = np.zeros((m, nmax), dtype=np.float64)
         self._wgt = np.zeros((m, nmax), dtype=np.float64)
         self._dl = np.full((m, nmax), np.inf, dtype=np.float64)
+        self._reqk = None if k == 1 else np.zeros((k, m, nmax), dtype=np.float64)
         for i, queue in enumerate(instance.queues):
-            for j, job in enumerate(queue):
-                self._req[i, j] = float(job.requirement)
-                self._work[i, j] = float(job.work)
-                self._wgt[i, j] = float(job.weight)
-                if job.deadline is not None:
-                    self._dl[i, j] = float(job.deadline)
+            self._write_jobs(i, 0, queue)
         self._release = np.array(instance.releases, dtype=np.int64)
         self._released = self._release <= 0
         self._all_released = bool(self._released.all())
@@ -155,14 +152,8 @@ class VectorState:
         self.resource_spent = np.zeros(k, dtype=np.float64)
         if k == 1:
             # Degenerate share-matrix view; no separate bookkeeping.
-            self._reqk = None
             self.active_req_matrix = self.active_requirements.reshape(1, m)
         else:
-            self._reqk = np.zeros((k, m, nmax), dtype=np.float64)
-            for i, queue in enumerate(instance.queues):
-                for j, job in enumerate(queue):
-                    for lane, r in enumerate(job.requirements):
-                        self._reqk[lane, i, j] = float(r)
             self.active_req_matrix = np.where(
                 self._released[None, :], self._reqk[:, :, 0], 0.0
             )
@@ -217,17 +208,81 @@ class VectorState:
             return
         newly = ~self._released & (self._release <= self.t)
         if newly.any():
-            idx = np.flatnonzero(newly)
-            self.remaining[idx] = self._work[idx, self.done[idx]]
-            self.active_requirements[idx] = self._req[idx, self.done[idx]]
-            self.active_weights[idx] = self._wgt[idx, self.done[idx]]
-            self.active_deadlines[idx] = self._dl[idx, self.done[idx]]
-            if self._reqk is not None:
-                self.active_req_matrix[:, idx] = self._reqk[
-                    :, idx, self.done[idx]
-                ]
+            self._load_active(np.flatnonzero(newly))
             self._released |= newly
             self._all_released = bool(self._released.all())
+
+    def _load_active(self, idx: np.ndarray) -> None:
+        """Make job ``done[i]`` the active job of every processor in *idx*."""
+        j = self.done[idx]
+        self.remaining[idx] = self._work[idx, j]
+        self.active_requirements[idx] = self._req[idx, j]
+        self.active_weights[idx] = self._wgt[idx, j]
+        self.active_deadlines[idx] = self._dl[idx, j]
+        if self._reqk is not None:
+            self.active_req_matrix[:, idx] = self._reqk[:, idx, j]
+
+    def extend(self, instance: Instance) -> None:
+        """Adopt *instance*, which appends jobs to this state's queues.
+
+        The appended jobs are written into the padded tables, whose
+        column capacity doubles whenever a queue outgrows it, so a
+        stream of appends costs amortized ``O(1)`` table work per job.
+        A released queue that had drained loads its first appended job
+        as the active job, with its full work.  New processors need a
+        checkpoint restore instead
+        (:func:`repro.core.checkpoint.restore_runtime`).
+
+        Raises:
+            CheckpointError: if *instance* is not a tail-append
+                extension over the same processors.
+        """
+        old = self.instance
+        require_extension(old, instance, same_processors=True)
+        for i, queue in enumerate(old.queues):
+            grown = instance.queues[i]
+            if grown is queue:
+                continue
+            n_old, n_new = len(queue), len(grown)
+            self._reserve(n_new)
+            self._write_jobs(i, n_old, grown[n_old:])
+            self.num_jobs[i] = n_new
+            if self.done[i] == n_old and self._released[i]:
+                self._load_active(np.array([i]))
+        self.instance = instance
+
+    def _reserve(self, columns: int) -> None:
+        """Grow the padded tables to at least *columns* job slots."""
+        cap = self._work.shape[1]
+        if columns <= cap:
+            return
+        cap = max(columns, 2 * cap)
+
+        def grow(table: np.ndarray, fill: float) -> np.ndarray:
+            """*table* copied into *cap* columns, padded with *fill*."""
+            out = np.full((*table.shape[:-1], cap), fill, dtype=np.float64)
+            out[..., : table.shape[-1]] = table
+            return out
+
+        self._req = grow(self._req, 0.0)
+        self._work = grow(self._work, 0.0)
+        self._wgt = grow(self._wgt, 0.0)
+        self._dl = grow(self._dl, np.inf)
+        if self._reqk is not None:
+            self._reqk = grow(self._reqk, 0.0)
+
+    def _write_jobs(self, i: int, start: int, jobs) -> None:
+        """Fill table slots ``(i, start)`` onwards from *jobs*."""
+        reqk = self._reqk
+        for j, job in enumerate(jobs, start):
+            self._req[i, j] = float(job.requirement)
+            self._work[i, j] = float(job.work)
+            self._wgt[i, j] = float(job.weight)
+            if job.deadline is not None:
+                self._dl[i, j] = float(job.deadline)
+            if reqk is not None:
+                for lane, r in enumerate(job.requirements):
+                    reqk[lane, i, j] = float(r)
 
     def capture(self) -> dict:
         """JSON-serializable snapshot of the mutable float64 state.
@@ -326,23 +381,13 @@ class VectorState:
         """
         self.done[finished] += 1
         has_next = finished[self.done[finished] < self.num_jobs[finished]]
-        self.remaining[has_next] = self._work[has_next, self.done[has_next]]
-        self.active_requirements[has_next] = self._req[
-            has_next, self.done[has_next]
-        ]
-        self.active_weights[has_next] = self._wgt[has_next, self.done[has_next]]
-        self.active_deadlines[has_next] = self._dl[
-            has_next, self.done[has_next]
-        ]
+        self._load_active(has_next)
         exhausted = finished[self.done[finished] >= self.num_jobs[finished]]
         self.remaining[exhausted] = 0.0
         self.active_requirements[exhausted] = 0.0
         self.active_weights[exhausted] = 0.0
         self.active_deadlines[exhausted] = np.inf
         if self._reqk is not None:
-            self.active_req_matrix[:, has_next] = self._reqk[
-                :, has_next, self.done[has_next]
-            ]
             self.active_req_matrix[:, exhausted] = 0.0
 
 

@@ -59,6 +59,7 @@ from .algorithms import (
 from .analysis import compute_metrics
 from .backends import available_backends
 from .core.hypergraph import SchedulingGraph
+from .exceptions import ReproError
 from .experiments import EXPERIMENTS, get_experiment
 from .experiments.runner import run_experiment
 from .io import load_instance, save_schedule
@@ -1401,8 +1402,25 @@ def _cmd_demo() -> int:
     return 0
 
 
+#: Commands that read input files: a typed :class:`ReproError` there
+#: (bad instance, trace or event-log file) ends in a one-line
+#: ``error: ...`` on stderr and exit status 2, not a traceback.
+_INPUT_COMMANDS = ("run", "schedule", "serve", "replay")
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Parse *argv* and run the selected command; returns the exit status."""
     args = build_parser().parse_args(argv)
+    if args.command not in _INPUT_COMMANDS:
+        return _dispatch(args)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "experiment":

@@ -31,17 +31,17 @@ through its ``stop`` predicate:
 
 Beyond plain resume, a checkpoint may be restored into an **extended**
 instance -- one whose queues grew at the tail and/or gained whole new
-processors (with their own release times).  That is the primitive
-behind the incremental re-scheduling of :mod:`repro.service`: on a job
-arrival the engine checkpoints, extends the instance, and continues --
-instead of re-simulating from ``t=0``.
+processors (with their own release times).  :mod:`repro.service` opens
+each new processor this way; jobs appended to existing queues skip the
+round-trip through the live runtime's ``extend``, which follows the
+same extension rules (:func:`require_extension`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..exceptions import CheckpointError
@@ -55,6 +55,7 @@ __all__ = [
     "checkpoint_run",
     "restore_runtime",
     "restore_observers",
+    "require_extension",
 ]
 
 _FORMAT = "crsharing-checkpoint"
@@ -102,25 +103,6 @@ class KernelCheckpoint:
     def t(self) -> int:
         """The step counter at which the run was suspended."""
         return int(self.state["t"])
-
-    def at_step(self, t: int) -> "KernelCheckpoint":
-        """A copy fast-forwarded to step *t* (idle time skip).
-
-        Only meaningful while the checkpointed workload is fully
-        drained (or every described processor is idle): no work happens
-        in the skipped steps, so the service's event engine jumps the
-        clock to the next arrival instead of simulating empty steps.
-
-        Raises:
-            CheckpointError: if *t* would move the clock backwards.
-        """
-        if t < self.t:
-            raise CheckpointError(
-                f"cannot move the step counter backwards ({self.t} -> {t})"
-            )
-        state = dict(self.state)
-        state["t"] = int(t)
-        return replace(self, state=state)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -243,14 +225,19 @@ def checkpoint_run(
     )
 
 
-def _require_extension(old: Instance, new: Instance) -> None:
+def require_extension(
+    old: Instance, new: Instance, *, same_processors: bool = False
+) -> None:
     """Validate that *new* extends *old* without rewriting history.
 
     Every old queue must be a *prefix* of the corresponding new queue
     with an unchanged release time (appending at the tail is the only
     legal growth), and new processors may only be added after the old
-    ones.  Anything else would make the checkpointed progress counters
-    meaningless.
+    ones -- or not at all with *same_processors* (the in-place
+    ``extend`` of a live runtime).  Anything else would make the
+    checkpointed progress counters meaningless.  Queues that *new*
+    shares with *old* (:meth:`Instance.appended` reuses them) are
+    accepted without a comparison.
 
     Raises:
         CheckpointError: when *new* is not a valid extension.
@@ -260,18 +247,54 @@ def _require_extension(old: Instance, new: Instance) -> None:
             f"extension dropped processors ({old.num_processors} -> "
             f"{new.num_processors})"
         )
-    for i, queue in enumerate(old.queues):
-        grown = new.queues[i]
-        if len(grown) < len(queue) or grown[: len(queue)] != queue:
+    if same_processors and new.num_processors != old.num_processors:
+        raise CheckpointError(
+            f"a live runtime only extends its existing queues "
+            f"({old.num_processors} -> {new.num_processors} processors); "
+            "open new processors through restore_runtime"
+        )
+    for i, (queue, grown) in enumerate(zip(old.queues, new.queues)):
+        if grown is not queue and (
+            len(grown) < len(queue) or grown[: len(queue)] != queue
+        ):
             raise CheckpointError(
                 f"queue {i} of the extension does not keep the "
                 "checkpointed jobs as a prefix"
             )
-        if new.releases[i] != old.releases[i]:
-            raise CheckpointError(
-                f"extension changed the release time of processor {i} "
-                f"({old.releases[i]} -> {new.releases[i]})"
-            )
+    before, after = old.releases, new.releases
+    if after[: len(before)] != before:
+        i = next(i for i, (a, b) in enumerate(zip(before, after)) if a != b)
+        raise CheckpointError(
+            f"extension changed the release time of processor {i} "
+            f"({before[i]} -> {after[i]})"
+        )
+
+
+def _load_appended(checkpoint: KernelCheckpoint, target: Instance) -> dict:
+    """The checkpoint state, with drained queues' appended jobs loaded.
+
+    A queue whose checkpointed jobs had all finished captured
+    ``remaining == 0``.  When *target* appends to it, its first new
+    job becomes the active job and must start with its full work --
+    restored as is, it would complete without processing anything.
+    A malformed payload is returned unchanged for ``restore`` to
+    reject.
+    """
+    state = checkpoint.state
+    old = checkpoint.instance
+    try:
+        done = [int(d) for d in state["done"]]
+        remaining = list(state["remaining"])
+    except (KeyError, TypeError, ValueError):
+        return state
+    patched = False
+    for i, d in enumerate(done[: min(len(remaining), old.num_processors)]):
+        n_old = old.num_jobs(i)
+        if d == n_old < target.num_jobs(i):
+            work = target.job(i, n_old).work
+            remaining[i] = str(work) if checkpoint.kind == "exact" else float(work)
+            patched = True
+    return {**state, "remaining": remaining} if patched else state
 
 
 def restore_runtime(
@@ -287,7 +310,9 @@ def restore_runtime(
         instance: optional **extension** of the checkpointed instance
             (old queues as prefixes, tail-appended jobs, optionally new
             processors with their own release times); ``None`` resumes
-            the checkpointed instance itself.
+            the checkpointed instance itself.  A queue that had drained
+            at the checkpoint starts its first appended job with that
+            job's full work.
         observers: fresh observers to restore captured state into, in
             :func:`checkpoint_run` order.  May be empty to resume
             without observers; otherwise the count must match.
@@ -303,8 +328,10 @@ def restore_runtime(
             observer payload that does not fit.
     """
     target = checkpoint.instance if instance is None else instance
+    state = checkpoint.state
     if target is not checkpoint.instance and target != checkpoint.instance:
-        _require_extension(checkpoint.instance, target)
+        require_extension(checkpoint.instance, target)
+        state = _load_appended(checkpoint, target)
     if checkpoint.kind == "exact":
         from .kernel import ExactRuntime  # lazy: kernel imports nothing from here
 
@@ -317,7 +344,7 @@ def restore_runtime(
         )
     else:  # pragma: no cover - from_dict already rejects unknown kinds
         raise CheckpointError(f"unknown runtime kind {checkpoint.kind!r}")
-    runtime.restore(checkpoint.state)
+    runtime.restore(state)
     restore_observers(checkpoint, observers)
     return runtime
 

@@ -86,7 +86,7 @@ class Instance:
         (2, 2, 1)
     """
 
-    __slots__ = ("_queues", "_releases", "_k", "_hash")
+    __slots__ = ("_queues", "_releases", "_k", "_hash", "_total_work", "_resource_work")
 
     def __init__(
         self,
@@ -133,6 +133,10 @@ class Instance:
                 )
             self._releases = rel
         self._hash: int | None = None
+        # Work totals, summed on first use and carried forward by
+        # :meth:`appended` (instances are immutable).
+        self._total_work: Fraction | None = None
+        self._resource_work: tuple[Fraction, ...] | None = None
 
     # ------------------------------------------------------------------
     # Basic shape
@@ -234,6 +238,78 @@ class Instance:
     def max_release(self) -> int:
         """The latest release time (0 for static instances)."""
         return max(self._releases)
+
+    def appended(
+        self, queue_index: int, job: Job | Num, *, release: int | None = None
+    ) -> "Instance":
+        """A copy with *job* appended at the tail of queue *queue_index*.
+
+        ``queue_index == num_processors`` opens a new processor holding
+        just *job*, released at step *release* (default 0); *release*
+        may only be given for a new processor.  The other queues' tuples
+        are shared, only *job* is validated, and cached work totals
+        carry forward, so growing an instance one job at a time costs
+        ``O(m + n_i)`` per job instead of a full rebuild.
+
+        Raises:
+            InvalidInstanceError: *queue_index* out of ``0..m``, a
+                release time for an existing queue or a negative one,
+                or a job declaring a different number of resources.
+
+        Example:
+            >>> Instance([["1/2"]]).appended(0, "1/4").appended(1, 1, release=3)
+            Instance([[Job(0.5), Job(0.25)], [Job(1)]], releases=[0, 3])
+        """
+        if not isinstance(job, Job):
+            job = Job(job)
+        if len(job.requirements) != self._k:
+            raise InvalidInstanceError(
+                f"all jobs must declare the same number of shared resources: "
+                f"the appended job has {len(job.requirements)}, expected {self._k}"
+            )
+        m = len(self._queues)
+        if queue_index == m:
+            rel = 0 if release is None else int(release)
+            if rel < 0:
+                raise InvalidInstanceError(
+                    f"release times must be non-negative, got {rel}"
+                )
+            queues = self._queues + ((job,),)
+            releases = self._releases + (rel,)
+        elif 0 <= queue_index < m:
+            if release is not None:
+                raise InvalidInstanceError(
+                    f"processor {queue_index} already has release time "
+                    f"{self._releases[queue_index]}; a release time is only "
+                    "accepted for a new processor"
+                )
+            queues = (
+                self._queues[:queue_index]
+                + (self._queues[queue_index] + (job,),)
+                + self._queues[queue_index + 1 :]
+            )
+            releases = self._releases
+        else:
+            raise InvalidInstanceError(
+                f"queue index {queue_index} out of range 0..{m}"
+            )
+        grown = Instance.__new__(Instance)
+        grown._queues = queues
+        grown._releases = releases
+        grown._k = self._k
+        grown._hash = None
+        grown._total_work = (
+            None if self._total_work is None else self._total_work + job.work
+        )
+        grown._resource_work = (
+            None
+            if self._resource_work is None
+            else tuple(
+                w + r * job.size
+                for w, r in zip(self._resource_work, job.requirements)
+            )
+        )
+        return grown
 
     def with_releases(self, releases: Sequence[int] | None) -> "Instance":
         """A copy of this instance with the given release times."""
@@ -350,7 +426,9 @@ class Instance:
         *bottleneck* work of every job; use :meth:`resource_work` for
         the per-resource congestion totals.
         """
-        return frac_sum(job.work for _, job in self.jobs())
+        if self._total_work is None:
+            self._total_work = frac_sum(job.work for _, job in self.jobs())
+        return self._total_work
 
     def resource_work(self, resource: int) -> Fraction:
         """Congestion :math:`W_l = \\sum_{i,j} r_{ijl} \\cdot p_{ij}` of one resource.
@@ -358,9 +436,12 @@ class Instance:
         The resource-time demanded from shared resource *resource*;
         ``resource_work(0) == total_work()`` for ``k == 1``.
         """
-        return frac_sum(
-            job.requirements[resource] * job.size for _, job in self.jobs()
-        )
+        if self._resource_work is None:
+            self._resource_work = tuple(
+                frac_sum(job.requirements[r] * job.size for _, job in self.jobs())
+                for r in range(self._k)
+            )
+        return self._resource_work[resource]
 
     def work_lower_bound(self) -> int:
         """Observation 1, per resource: ``max_l ceil(W_l)`` steps.

@@ -110,6 +110,10 @@ class Job:
     #: same ``Job`` objects recur across candidate orders in the
     #: sequencing layer's memoized evaluation cache.
     _hash: int | None = field(compare=False, repr=False)
+    #: Memoized :attr:`work` -- the kernels, instance totals and the
+    #: service ledgers all read it, and each read would otherwise be a
+    #: ``Fraction`` product.
+    _work: Fraction | None = field(compare=False, repr=False)
 
     def __init__(
         self,
@@ -154,6 +158,7 @@ class Job:
         object.__setattr__(self, "deadline", deadline)
         object.__setattr__(self, "requirement", max(reqs))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_work", None)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -175,7 +180,11 @@ class Job:
         its lifetime in the alternative (variable-speed)
         interpretation.
         """
-        return self.requirement * self.size
+        w = self._work
+        if w is None:
+            w = self.requirement * self.size
+            object.__setattr__(self, "_work", w)
+        return w
 
     @property
     def work_vector(self) -> tuple[Fraction, ...]:

@@ -39,6 +39,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..exceptions import (
+    CheckpointError,
     InfeasibleAssignmentError,
     ObserverError,
     SimulationLimitError,
@@ -335,6 +336,10 @@ class KernelRuntime:
       :class:`~repro.exceptions.InfeasibleAssignmentError` on invalid
       shares (within the runtime's tolerance);
     * :meth:`apply` advances the state one step and reports it.
+
+    The built-in runtimes also grow a suspended run in place for the
+    service layer: :meth:`extend` appends jobs, :meth:`idle_until`
+    skips an idle gap.
     """
 
     instance: Instance
@@ -376,6 +381,47 @@ class KernelRuntime:
     def describe_progress(self) -> str:
         """Short state description used in limit-error messages."""
         return ""
+
+    # The two primitives below need a ``state`` exposing ``t``, ``done``
+    # and ``extend`` (both built-in runtimes have one).
+    def extend(self, instance: Instance) -> None:
+        """Adopt *instance*, which appends jobs to the existing queues.
+
+        The run continues from its current step with the new jobs
+        queued behind the existing ones; a queue that had drained
+        starts its first appended job with that job's full work.
+
+        Raises:
+            CheckpointError: if *instance* is not a tail-append
+                extension over the same processors.
+        """
+        self.state.extend(instance)
+        self.instance = instance
+
+    def idle_until(self, t: int) -> None:
+        """Move the clock to step *t* across an idle gap.
+
+        No step executes.  Legal only while no pending processor is
+        released before *t*, so no work could have happened in the
+        skipped steps.
+
+        Raises:
+            CheckpointError: if *t* is in the past or the gap is not
+                idle.
+        """
+        state = self.state
+        if t < state.t:
+            raise CheckpointError(
+                f"cannot move the step counter backwards ({state.t} -> {t})"
+            )
+        instance = self.instance
+        for i, release in enumerate(instance.releases):
+            if release < t and state.done[i] < instance.num_jobs(i):
+                raise CheckpointError(
+                    f"processor {i} has pending work before step {t}; "
+                    "only an idle gap can be skipped"
+                )
+        state.t = int(t)
 
 
 class ExactRuntime(KernelRuntime):

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from ..exceptions import CheckpointError
+from .checkpoint import require_extension
 from .instance import Instance
 from .job import JobId
 from .numerics import ONE, ZERO, to_frac
@@ -268,6 +269,26 @@ class ExecState:
         self.remaining[: len(remaining)] = remaining
         self.resource_spent = spent
         self._started = started
+
+    def extend(self, instance: Instance) -> None:
+        """Adopt *instance*, which appends jobs to this state's queues.
+
+        The progress counters stay valid because every queue keeps its
+        jobs as a prefix.  A queue that had drained loads its first
+        appended job as the active job, with its full work.  New
+        processors need a checkpoint restore instead
+        (:func:`repro.core.checkpoint.restore_runtime`).
+
+        Raises:
+            CheckpointError: if *instance* is not a tail-append
+                extension over the same processors.
+        """
+        old = self.instance
+        require_extension(old, instance, same_processors=True)
+        for i, queue in enumerate(old.queues):
+            if self.done[i] == len(queue) < instance.num_jobs(i):
+                self.remaining[i] = instance.job(i, len(queue)).work
+        self.instance = instance
 
     # ------------------------------------------------------------------
     # Step semantics

@@ -24,6 +24,7 @@ __all__ = [
     "SequencingError",
     "CheckpointError",
     "ServiceError",
+    "InputFormatError",
 ]
 
 
@@ -122,6 +123,16 @@ class ServiceError(ReproError):
     """The scheduling service layer (:mod:`repro.service`) was misused:
     unknown admission policy, malformed trace/event-log documents, or
     events submitted against a closed engine."""
+
+
+class InputFormatError(ReproError, ValueError):
+    """An input file is unreadable or not in the expected format.
+
+    Raised by :func:`repro.io.load_instance` for a missing file, text
+    that is not JSON, or JSON that is not an instance document.  It is
+    also a :class:`ValueError`, so callers catching ``ValueError`` from
+    the loader keep working.
+    """
 
 
 class UnknownPolicyError(ReproError, KeyError):

@@ -47,6 +47,7 @@ from typing import Any
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.schedule import Schedule
+from ..exceptions import InputFormatError
 
 __all__ = [
     "instance_to_dict",
@@ -233,7 +234,35 @@ def save_instance(instance: Instance, path: str | Path) -> None:
 
 
 def load_instance(path: str | Path) -> Instance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    """Read an instance document written by :func:`save_instance`.
+
+    Raises:
+        InputFormatError: the file cannot be read, is not JSON, or is
+            not a valid instance document.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise InputFormatError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputFormatError(
+            f"{path} is not an instance document (top level is a "
+            f"{type(data).__name__})"
+        )
+    try:
+        return instance_from_dict(data)
+    except KeyError as exc:
+        raise InputFormatError(
+            f"{path} is not a valid instance document: missing key {exc}"
+        ) from exc
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(
+            f"{path} is not a valid instance document: {exc}"
+        ) from exc
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:

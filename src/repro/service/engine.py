@@ -1,17 +1,28 @@
 """The always-on scheduling service: event-driven incremental runs.
 
-:class:`SchedulingService` keeps one live kernel runtime and reacts to
-arrival events instead of re-simulating from ``t=0``:
+:class:`SchedulingService` keeps one live kernel runtime for its whole
+life and reacts to arrival events instead of re-simulating from
+``t=0``:
 
-1. **advance** the runtime to the arrival step (idle gaps are
-   fast-forwarded through the checkpoint layer, never simulated);
+1. **advance** the live runtime to the arrival step (an idle gap after
+   the workload drained moves the clock in place, never simulated);
 2. **place** the job -- a new logical queue while the service is
-   below ``max_queues``, otherwise the least-loaded existing queue;
+   below ``max_queues``, otherwise the lowest-indexed queue whose
+   backlog is within :data:`PLACEMENT_TOL` of the least (backlogs come
+   from per-queue prefix sums, so the query costs ``O(m)``);
 3. **admit or shed** via the pluggable admission policy
    (:mod:`repro.service.admission`);
-4. on admission, **extend** the instance (tail-append or new queue
-   released at the arrival step) and restore the checkpoint into it --
-   the grown run continues bit-identically.
+4. on admission, **extend** the run: a job for an existing queue is
+   appended to the live runtime's state in place
+   (:meth:`~repro.core.kernel.KernelRuntime.extend`; a drained queue
+   starts it with its full work), and a new queue, released at the
+   arrival step, is opened through a checkpoint restore -- at most
+   ``max_queues`` times per service.  Either way the grown run
+   continues bit-identically.
+
+Apart from copying the grown queue's job tuple (and validating it as
+an extension), per-event cost follows the active work, not the
+admitted history.
 
 Every decision lands in an event log replayable through
 :func:`replay_log`; :meth:`SchedulingService.report` summarizes
@@ -41,6 +52,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Iterable
 
 from ..algorithms import get_policy
@@ -49,6 +61,7 @@ from ..core.checkpoint import checkpoint_run, restore_runtime
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.kernel import CompletionRecorder, ExactRuntime, run_kernel
+from ..core.numerics import ZERO
 from ..core.simulator import default_step_limit
 from ..exceptions import ServiceError
 from ..io.serialization import job_from_dict, job_to_dict
@@ -60,6 +73,65 @@ __all__ = ["SchedulingService", "ServiceReport", "replay_log"]
 
 _BACKENDS = ("exact", "vector")
 _MODES = ("incremental", "from-scratch")
+
+
+#: Backlogs (full-speed steps) closer than this to the least one tie
+#: for placement; the lowest queue index wins.
+PLACEMENT_TOL = 1e-9
+
+
+class _CompletionFeed(CompletionRecorder):
+    """Completion table plus the completions not yet in the event log."""
+
+    __slots__ = ("fresh",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fresh: list[tuple[int, int, int]] = []
+
+    def on_complete(self, job: tuple[int, int], t: int) -> None:
+        """Record *job*'s completion step and queue it for the log."""
+        self.completion_steps[job] = t
+        self.fresh.append((t, job[0], job[1]))
+
+
+class _QueueLedger:
+    """Per-queue prefix sums behind the ``O(1)`` backlog queries.
+
+    ``steps[j]`` / ``work[j]`` sum the full-speed steps / exact work
+    of the queue's first ``j`` jobs; the tail after the active job is
+    cached until the queue grows or its active job changes.
+    """
+
+    __slots__ = ("steps", "work", "bottleneck", "job_work", "_tail")
+
+    def __init__(self) -> None:
+        self.steps: list[int] = [0]
+        self.work: list[Fraction] = [ZERO]
+        self.bottleneck: list[float] = []
+        self.job_work: list[float] = []
+        self._tail: tuple[int, int, int, float] = (-1, 0, 0, 0.0)
+
+    def append(self, job: Job) -> None:
+        """Account for *job* appended at the tail of the queue."""
+        work = job.work
+        self.steps.append(self.steps[-1] + job.steps_at_full_speed())
+        self.work.append(self.work[-1] + work)
+        self.bottleneck.append(float(job.requirement))
+        self.job_work.append(float(work))
+
+    def after(self, j: int) -> tuple[int, float]:
+        """Full-speed steps and work of the jobs queued after job *j*."""
+        n = len(self.job_work)
+        tail = self._tail
+        if tail[0] != j or tail[1] != n:
+            tail = self._tail = (
+                j,
+                n,
+                self.steps[n] - self.steps[j + 1],
+                float(self.work[n] - self.work[j + 1]),
+            )
+        return tail[2], tail[3]
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -202,14 +274,16 @@ class SchedulingService:
         self.mode = mode
         self._instance: Instance | None = None
         self._runtime = None
-        self._recorder = CompletionRecorder()
+        self._recorder = _CompletionFeed()
         self._clock = 0
         self._closed = False
         self._seq = 0
         self._records: list[dict[str, Any]] = []
         self._history: list[tuple[Job, int, int]] = []
         self._latencies: list[float] = []
-        self._logged_completions: set[tuple[int, int]] = set()
+        self._logged = 0
+        # One ledger per queue: backlog queries cost O(m), not O(history).
+        self._ledgers: list[_QueueLedger] = []
         self.submitted = 0
         self.admitted = 0
         self.rejected = 0
@@ -235,10 +309,9 @@ class SchedulingService:
             stop=lambda rt: rt.t >= target,
         )
         if finished is not None and finished < target:
-            # Drained before the event: fast-forward over the idle gap
-            # instead of simulating empty steps.
-            ckpt = checkpoint_run(self._runtime).at_step(target)
-            self._runtime = restore_runtime(ckpt)
+            # Drained before the event: move the clock over the idle
+            # gap instead of simulating empty steps.
+            self._runtime.idle_until(target)
 
     def _rebuild_from_history(self, target: int) -> None:
         """The from-scratch baseline: replay every admitted extension
@@ -254,11 +327,14 @@ class SchedulingService:
         """
         self._instance = None
         self._runtime = None
-        self._recorder = CompletionRecorder()
+        self._recorder = _CompletionFeed()
         for job, queue_index, at in self._history:
             self._sim_to(at)
             self._extend(job, queue_index, at)
         self._sim_to(target)
+        # The replay re-observes, in the same order, every completion
+        # the log already holds.
+        del self._recorder.fresh[: self._logged]
 
     def _advance(self, target: int) -> None:
         """Bring the kernel state to step *target* (>= current clock)."""
@@ -270,79 +346,87 @@ class SchedulingService:
         self._log_new_completions()
 
     def _log_new_completions(self) -> None:
-        fresh = [
-            (t, i, j)
-            for (i, j), t in self._recorder.completion_steps.items()
-            if (i, j) not in self._logged_completions
-        ]
-        for t, i, j in sorted(fresh):
-            self._logged_completions.add((i, j))
+        fresh = self._recorder.fresh
+        for t, i, j in fresh:
             self._records.append(
                 {"type": "completion", "t": t, "queue": i, "index": j}
             )
+        self._logged += len(fresh)
+        fresh.clear()
 
     # ------------------------------------------------------------------
     # Placement / admission
     # ------------------------------------------------------------------
-    def _queue_backlogs(self) -> list[float]:
-        """Full-speed steps of unfinished work per queue."""
-        if self._instance is None:
-            return []
+    def _backlogs(self) -> tuple[list[float], float]:
+        """Full-speed steps of unfinished work per queue, and the total work.
+
+        The total is the unfinished processing volume over all queues.
+        A queue's active job is untouched until a step has run since
+        the queue's release.  The vector state still masks its work to
+        0 then, so its full work is read from the ledger on both
+        backends.
+        """
         state = self._runtime.state
+        t = state.t
+        done_counts, remaining = state.done, state.remaining
+        if self.backend == "vector":  # one conversion, not m scalar reads
+            done_counts, remaining = done_counts.tolist(), remaining.tolist()
         backlogs: list[float] = []
-        for i, queue in enumerate(self._instance.queues):
-            done = int(state.done[i])
-            steps = 0.0
-            if done < len(queue):
-                active = queue[done]
-                bottleneck = float(active.requirement)
-                if bottleneck > 0:
-                    steps += float(state.remaining[i]) / bottleneck
-                steps += sum(
-                    job.steps_at_full_speed() for job in queue[done + 1 :]
-                )
-            backlogs.append(steps)
-        return backlogs
-
-    def _total_backlog(self) -> float:
-        """Unfinished processing volume across all queues."""
-        if self._instance is None:
-            return 0.0
-        state = self._runtime.state
         total = 0.0
-        for i, queue in enumerate(self._instance.queues):
-            done = int(state.done[i])
-            if done < len(queue):
-                total += float(state.remaining[i])
-                total += sum(float(job.work) for job in queue[done + 1 :])
-        return total
+        for i, release in enumerate(self._instance.releases):
+            ledger = self._ledgers[i]
+            done = done_counts[i]
+            if done >= len(ledger.job_work):
+                backlogs.append(0.0)
+                continue
+            rem = ledger.job_work[done] if t <= release else float(remaining[i])
+            bottleneck = ledger.bottleneck[done]
+            steps_after, work_after = ledger.after(done)
+            backlogs.append(
+                (rem / bottleneck if bottleneck > 0 else 0.0) + steps_after
+            )
+            total += rem
+            total += work_after
+        return backlogs, total
 
-    def _placement(self) -> int:
-        """The queue the next arrival would be appended to."""
+    def _placement(self) -> tuple[int, float, float]:
+        """Where the next arrival would go: ``(queue, backlog, total)``.
+
+        A new queue while the service is below ``max_queues``;
+        otherwise the lowest-indexed queue whose backlog is within
+        :data:`PLACEMENT_TOL` of the least, so float noise in the
+        vector backend cannot break ties differently from the exact
+        one.
+        """
         if self._instance is None:
-            return 0
-        if self._instance.num_processors < self.max_queues:
-            return self._instance.num_processors
-        backlogs = self._queue_backlogs()
-        return min(range(len(backlogs)), key=lambda i: (backlogs[i], i))
+            return 0, 0.0, 0.0
+        backlogs, total = self._backlogs()
+        m = len(backlogs)
+        if m < self.max_queues:
+            return m, 0.0, total
+        cutoff = min(backlogs) + PLACEMENT_TOL
+        i = next(i for i, backlog in enumerate(backlogs) if backlog <= cutoff)
+        return i, backlogs[i], total
 
     def _extend(self, job: Job, queue_index: int, at: int) -> None:
-        """Grow the instance by *job* and carry the run state over."""
+        """Grow the instance by *job* and carry the run state over.
+
+        Appends to an existing queue extend the live runtime in place;
+        a new queue (released at *at*) goes through a checkpoint
+        restore, at most ``max_queues`` times per service.
+        """
         if self._instance is None:
             self._instance = Instance([[job]], releases=[at])
-            ckpt = checkpoint_run(self._new_runtime(self._instance))
-            self._runtime = restore_runtime(ckpt.at_step(at))
+            self._runtime = self._new_runtime(self._instance)
+            self._runtime.idle_until(at)
             return
-        queues = [list(queue) for queue in self._instance.queues]
-        releases = list(self._instance.releases)
-        if queue_index == len(queues):
-            queues.append([job])
-            releases.append(at)
+        if queue_index == self._instance.num_processors:
+            grown = self._instance.appended(queue_index, job, release=at)
+            ckpt = checkpoint_run(self._runtime)
+            self._runtime = restore_runtime(ckpt, instance=grown)
         else:
-            queues[queue_index].append(job)
-        grown = Instance(queues, releases=releases)
-        ckpt = checkpoint_run(self._runtime)
-        self._runtime = restore_runtime(ckpt, instance=grown)
+            grown = self._instance.appended(queue_index, job)
+            self._runtime.extend(grown)
         self._instance = grown
 
     # ------------------------------------------------------------------
@@ -365,16 +449,13 @@ class SchedulingService:
             )
         started = time.perf_counter()
         self._advance(event.time)
-        queue_index = self._placement()
-        backlogs = self._queue_backlogs()
+        queue_index, queue_backlog, total_backlog = self._placement()
         ctx = AdmissionContext(
             time=event.time,
             job=event.job,
             queue_index=queue_index,
-            queue_backlog=(
-                backlogs[queue_index] if queue_index < len(backlogs) else 0.0
-            ),
-            total_backlog=self._total_backlog(),
+            queue_backlog=queue_backlog,
+            total_backlog=total_backlog,
             num_processors=(
                 self._instance.num_processors if self._instance else 0
             ),
@@ -382,6 +463,9 @@ class SchedulingService:
         decision = bool(self.admission.admit(ctx))
         if decision:
             self._extend(event.job, queue_index, event.time)
+            if queue_index == len(self._ledgers):
+                self._ledgers.append(_QueueLedger())
+            self._ledgers[queue_index].append(event.job)
             self._history.append((event.job, queue_index, event.time))
             self.admitted += 1
         else:
@@ -504,11 +588,7 @@ class SchedulingService:
         """Summarize the run (valid mid-stream or after drain)."""
         total_work = 0.0
         if self._instance is not None:
-            total_work = sum(
-                float(job.work)
-                for queue in self._instance.queues
-                for job in queue
-            )
+            total_work = float(self._instance.total_work())
         queues = self._instance.num_processors if self._instance else 0
         elapsed = max(self._clock, 1)
         utilization = (

@@ -89,7 +89,7 @@ class ArrivalEvent:
             job = job_from_dict(doc["job"])
         except KeyError as exc:
             raise ServiceError(f"trace record has no 'job': {doc!r}") from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ServiceError(f"trace record carries a bad job: {exc}") from exc
         return cls(time=time, job=job)
 
@@ -97,7 +97,12 @@ class ArrivalEvent:
 def _iter_jsonl(source: str | Path | Iterable[str]) -> Iterator[tuple[int, Any]]:
     """Yield ``(lineno, parsed)`` for every non-blank JSONL line."""
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ServiceError(
+                f"cannot read {source}: {exc.strerror or exc}"
+            ) from exc
         lines: Iterable[str] = text.splitlines()
     else:
         lines = source

@@ -11,6 +11,8 @@ version-skewed documents must raise the typed ``CheckpointError``.
 """
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,9 +22,11 @@ from repro.core import (
     CompletionRecorder,
     ExactRuntime,
     Instance,
+    Job,
     KernelCheckpoint,
     ObjectiveRecorder,
     ShareRecorder,
+    StepObserver,
     checkpoint_run,
     restore_runtime,
     run_kernel,
@@ -309,21 +313,132 @@ class TestExtension:
             restore_runtime(ckpt, instance=narrow)
 
 
-class TestFastForward:
-    def test_at_step_moves_clock(self, two_proc_instance):
-        rt = ExactRuntime(two_proc_instance)
-        run_kernel(rt, get_policy("greedy-balance"))
-        ckpt = checkpoint_run(rt)
-        later = ckpt.at_step(ckpt.t + 5)
-        assert later.t == ckpt.t + 5
-        assert ckpt.t == int(ckpt.state["t"])  # original untouched
+class WorkLedger(StepObserver):
+    """Sums the work each job processed, from its first step to completion."""
 
-    def test_at_step_backwards_rejected(self, two_proc_instance):
-        rt = ExactRuntime(two_proc_instance)
+    def __init__(self) -> None:
+        self.pending: dict[int, object] = {}
+        self.received: dict[tuple[int, int], object] = {}
+
+    def on_step(self, event) -> None:
+        for i, work in enumerate(event.processed):
+            self.pending[i] = self.pending.get(i, 0) + work
+
+    def on_complete(self, job, t) -> None:
+        self.received[job] = self.pending.pop(job[0], 0)
+
+
+class TestDrainedQueueExtension:
+    """A job appended to a queue that already drained runs its full work."""
+
+    APPENDED = Job("3/10", 2)  # work 3/5: at least two steps
+
+    def _drained(self, kind):
+        small = Instance.from_percent([[10], [50, 50, 50]])
+        rt = _runtime(kind, small)
+        run_kernel(rt, get_policy("greedy-balance"), stop=lambda r: r.t >= 1)
+        assert int(rt.state.done[0]) == 1  # queue 0 has drained
+        return rt, small.appended(0, self.APPENDED)
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("via", ("restore", "extend"))
+    def test_appended_job_processes_its_full_work(self, kind, via):
+        rt, grown = self._drained(kind)
+        if via == "restore":
+            ckpt = KernelCheckpoint.from_json(checkpoint_run(rt).to_json())
+            rt = restore_runtime(ckpt, instance=grown)
+        else:
+            rt.extend(grown)
+        ledger, completions = WorkLedger(), CompletionRecorder()
+        run_kernel(rt, get_policy("greedy-balance"), [ledger, completions])
+        assert float(ledger.received[(0, 1)]) == pytest.approx(
+            float(self.APPENDED.work), abs=1e-9
+        )
+        assert completions.completion_steps[(0, 1)] >= 2
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_restore_and_extend_agree(self, kind):
+        rt, grown = self._drained(kind)
+        restored = restore_runtime(checkpoint_run(rt), instance=grown)
+        rt.extend(grown)
+        assert rt.capture() == restored.capture()
+
+
+class TestLiveExtension:
+    """``KernelRuntime.extend``: in-place growth of a suspended run."""
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_extend_matches_restore_over_many_appends(self, kind, k):
+        # ~20 appends per queue also grow the vector tables repeatedly.
+        rng = random.Random(3)
+        policy = get_policy("greedy-balance")
+
+        def job():
+            reqs = [Fraction(rng.randint(1, 100), 100) for _ in range(k)]
+            return Job(reqs if k > 1 else reqs[0])
+
+        inst = Instance([[job()], [job()]])
+        live, restored = _runtime(kind, inst), _runtime(kind, inst)
+        recorders = (CompletionRecorder(), CompletionRecorder())
+        for step in range(1, 40):
+            for rt, rec in zip((live, restored), recorders):
+                if run_kernel(rt, policy, [rec], stop=lambda r: r.t >= step):
+                    rt.idle_until(step)
+            inst = inst.appended(rng.randrange(2), job())
+            live.extend(inst)
+            restored = restore_runtime(checkpoint_run(restored), instance=inst)
+            assert live.capture() == restored.capture()
+        makespans = [
+            run_kernel(rt, policy, [rec])
+            for rt, rec in zip((live, restored), recorders)
+        ]
+        assert makespans[0] == makespans[1]
+        assert recorders[0].completion_steps == recorders[1].completion_steps
+        assert len(recorders[0].completion_steps) == inst.total_jobs
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_new_processor_rejected(self, kind):
+        small = Instance.from_percent([[50, 30], [40, 60]])
+        rt = _runtime(kind, small)
+        with pytest.raises(CheckpointError, match="restore_runtime"):
+            rt.extend(small.appended(2, Job("1/2")))
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_rewritten_prefix_rejected(self, kind):
+        rt = _runtime(kind, Instance.from_percent([[50, 30], [40, 60]]))
+        with pytest.raises(CheckpointError, match="prefix"):
+            rt.extend(Instance.from_percent([[55, 30, 10], [40, 60]]))
+
+
+class TestIdleUntil:
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_moves_the_clock_of_a_drained_run(self, kind, two_proc_instance):
+        rt = _runtime(kind, two_proc_instance)
+        makespan = run_kernel(rt, get_policy("greedy-balance"))
+        rt.idle_until(makespan + 7)
+        assert rt.t == makespan + 7
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_skips_to_a_release(self, kind):
+        rt = _runtime(kind, Instance([["1/2"]], releases=[5]))
+        rt.idle_until(5)
+        assert rt.t == 5
+        with pytest.raises(CheckpointError, match="idle"):
+            rt.idle_until(6)
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_busy_gap_rejected(self, kind, two_proc_instance):
+        rt = _runtime(kind, two_proc_instance)
+        with pytest.raises(CheckpointError, match="idle"):
+            rt.idle_until(3)
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_backwards_rejected(self, kind, two_proc_instance):
+        rt = _runtime(kind, two_proc_instance)
         run_kernel(rt, get_policy("greedy-balance"))
-        ckpt = checkpoint_run(rt)
         with pytest.raises(CheckpointError, match="backwards"):
-            ckpt.at_step(ckpt.t - 1)
+            rt.idle_until(rt.t - 1)
 
 
 class TestUnsupportedRuntime:

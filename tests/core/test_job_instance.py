@@ -137,6 +137,61 @@ class TestInstanceDerived:
             inst.restrict_to_suffix([3, 1, 2])
 
 
+class TestAppended:
+    @pytest.fixture
+    def inst(self) -> Instance:
+        return Instance(
+            [[Job(["1/2", "1/4"]), Job(["1/3", "2/3"], 2)], [Job(["1", "0"])]],
+            releases=[0, 2],
+        )
+
+    def test_tail_append_equals_a_rebuild(self, inst):
+        job = Job(["1/5", "3/5"], 3)
+        grown = inst.appended(1, job)
+        rebuilt = Instance([inst.queues[0], (*inst.queues[1], job)], releases=[0, 2])
+        assert grown == rebuilt
+        assert grown.queues[0] is inst.queues[0]  # untouched queues are shared
+
+    def test_new_processor(self, inst):
+        grown = inst.appended(2, Job(["1/2", "1/2"]), release=7)
+        assert grown.num_processors == 3
+        assert grown.releases == (0, 2, 7)
+        assert inst.appended(2, Job(["1/2", "1/2"])).releases == (0, 2, 0)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_cached_totals_match_a_rebuild(self, inst, warm):
+        if warm:  # totals summed before the appends carry forward
+            inst.total_work()
+            inst.resource_work(0)
+        grown = inst.appended(0, Job(["3/4", "1/4"], 2)).appended(
+            2, Job(["1/8", "1/2"])
+        )
+        rebuilt = Instance(grown.queues, releases=grown.releases)
+        assert grown.total_work() == rebuilt.total_work()
+        for r in range(2):
+            assert grown.resource_work(r) == rebuilt.resource_work(r)
+        assert grown.work_lower_bound() == rebuilt.work_lower_bound()
+
+    def test_bare_number_becomes_a_job(self):
+        assert Instance([["1/2"]]).appended(0, "1/4").job(0, 1) == Job("1/4")
+
+    def test_resource_count_mismatch_rejected(self, inst):
+        with pytest.raises(InvalidInstanceError, match="shared resources"):
+            inst.appended(0, Job("1/2"))
+
+    def test_bad_queue_index_rejected(self, inst):
+        with pytest.raises(InvalidInstanceError, match="out of range"):
+            inst.appended(3, Job(["1/2", "1/2"]))
+
+    def test_release_for_existing_queue_rejected(self, inst):
+        with pytest.raises(InvalidInstanceError, match="new processor"):
+            inst.appended(0, Job(["1/2", "1/2"]), release=4)
+
+    def test_negative_release_rejected(self, inst):
+        with pytest.raises(InvalidInstanceError, match="non-negative"):
+            inst.appended(2, Job(["1/2", "1/2"]), release=-1)
+
+
 class TestObjectiveAnnotations:
     """Job.weight / Job.deadline and the Instance-level helpers."""
 

@@ -549,6 +549,45 @@ class TestBenchReport:
         assert "benchmark stores" in capsys.readouterr().out
 
 
+class TestBadInputFiles:
+    """Bad input files end in a one-line ``error:`` and exit 2."""
+
+    def _fails(self, argv, capsys, expected):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert expected in err
+
+    def test_run_on_non_json(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text("not json at all")
+        self._fails(["run", str(path)], capsys, "is not JSON")
+
+    def test_run_on_json_that_is_not_an_instance(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"format": "something-else"}))
+        self._fails(["run", str(path)], capsys, "not a valid instance document")
+
+    def test_run_on_instance_missing_its_queues(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"format": "crsharing-instance", "version": 1}))
+        self._fails(["run", str(path)], capsys, "missing key")
+
+    def test_run_on_missing_file(self, tmp_path, capsys):
+        self._fails(["run", str(tmp_path / "nope.json")], capsys, "cannot read")
+
+    def test_serve_on_trace_record_without_job(self, tmp_path, capsys):
+        trace = tmp_path / "arrivals.jsonl"
+        trace.write_text('{"t": 0}\n')
+        self._fails(["serve", str(trace)], capsys, "has no 'job'")
+
+    def test_replay_on_malformed_log(self, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        log.write_text("garbage\n")
+        self._fails(["replay", str(log)], capsys, "unparseable JSON")
+
+
 class TestServeAndReplay:
     TRACE = (
         '{"t": 0, "job": {"r": "1/2", "p": 1}}\n'
