@@ -2,10 +2,10 @@
 
 Two claims are gated here:
 
-1. **Throughput** -- with numba installed, the fused
-   ``compiled="on"`` driver (water-fill + step loop in one nopython
-   region) must beat the uncompiled per-step vector engine by at
-   least ``MIN_COMPILED_SPEEDUP`` in steps/s at both m=8 and m=32.
+1. **Throughput** -- with numba installed, the fused driver
+   (water-fill + step loop in one nopython region) must beat the
+   uncompiled per-step vector engine by at least
+   ``MIN_COMPILED_SPEEDUP`` in steps/s at both m=8 and m=32.
    The timing interleaves the two engines best-of-``REPEATS`` and a
    discarded warm-up pass triggers (and so excludes) JIT compilation.
 2. **Agreement** -- at gate scale, the fused driver's makespans must
@@ -13,7 +13,11 @@ Two claims are gated here:
    crosscheck matrix lives in ``tests/kernels``; this bench
    re-asserts the headline invariant on the timed workload).
 
-Without numba the speedup gate skips -- the fused driver then runs
+A vector run picks its own path (:func:`repro.kernels.decide`), so the
+bench steers each side by patching the one flag that rule reads:
+``repro.kernels.dispatch.NUMBA_AVAILABLE`` true sends the runs through
+the fused driver, false keeps them on the per-step engine.  Without
+numba the speedup gate skips -- the fused driver then runs
 interpreted, which exists for coverage, not speed -- but the
 ``BENCH_compiled_kernel.json`` store is still written so the cross-PR
 trajectory (``crsharing bench-report``) records the configuration.
@@ -23,6 +27,7 @@ import time
 
 import pytest
 
+import repro.kernels.dispatch
 from repro.algorithms import resolve_policy
 from repro.backends import VectorBackend
 from repro.generators import bag_instance
@@ -42,39 +47,49 @@ LANES = 24
 REPEATS = 5
 
 
-def _steps_per_second(insts, policy, *, compiled) -> float:
-    """Best-of-``REPEATS`` steps/s of one engine over the workload."""
+@pytest.fixture
+def fused(monkeypatch):
+    """A setter choosing the fused (True) or per-step (False) path."""
+
+    def use(enabled: bool) -> None:
+        monkeypatch.setattr(repro.kernels.dispatch, "NUMBA_AVAILABLE", enabled)
+
+    return use
+
+
+def _run(backend, inst, policy):
+    return backend.run(inst, policy, record_shares=False)
+
+
+def _steps_per_second(insts, policy) -> float:
+    """Best-of-``REPEATS`` steps/s of the current path over the workload."""
     backend = VectorBackend()
     best = 0.0
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         steps = 0
         for inst in insts:
-            steps += backend.run(
-                inst, policy, record_shares=False, compiled=compiled
-            ).makespan
+            steps += _run(backend, inst, policy).makespan
         elapsed = time.perf_counter() - t0
         best = max(best, steps / elapsed)
     return best
 
 
-def test_compiled_matches_vector_at_gate_scale():
+def test_compiled_matches_vector_at_gate_scale(fused):
     """The timed workload itself: fused makespans == per-step makespans."""
     policy = resolve_policy("greedy-balance")
     backend = VectorBackend()
     for m in (8, 32):
         for s in range(4):
             inst = bag_instance(m, 8, seed=s)
-            on = backend.run(
-                inst, policy, record_shares=False, compiled="on"
-            )
-            off = backend.run(
-                inst, policy, record_shares=False, compiled="off"
-            )
+            fused(True)
+            on = _run(backend, inst, policy)
+            fused(False)
+            off = _run(backend, inst, policy)
             assert on.makespan == off.makespan, (m, s)
 
 
-def test_compiled_kernel_speedup(results_dir):
+def test_compiled_kernel_speedup(results_dir, fused):
     """The >=MIN_COMPILED_SPEEDUP steps/s gate at m in {8, 32}."""
     from conftest import write_bench_store
 
@@ -86,10 +101,13 @@ def test_compiled_kernel_speedup(results_dir):
         # primes caches identically for the uncompiled side.
         backend = VectorBackend()
         for inst in insts[:2]:
-            backend.run(inst, policy, record_shares=False, compiled="on")
-            backend.run(inst, policy, record_shares=False, compiled="off")
-        compiled_rate = _steps_per_second(insts, policy, compiled="on")
-        vector_rate = _steps_per_second(insts, policy, compiled="off")
+            for enabled in (True, False):
+                fused(enabled)
+                _run(backend, inst, policy)
+        fused(True)
+        compiled_rate = _steps_per_second(insts, policy)
+        fused(False)
+        vector_rate = _steps_per_second(insts, policy)
         rows.append(
             {
                 "m": m,

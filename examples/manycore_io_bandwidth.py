@@ -5,7 +5,7 @@ Section 1 of the paper argues that on many-core chips sharing one data
 bus, *bandwidth assignment* -- not core count -- decides completion
 time for I/O-intensive workloads.  This example builds a synthetic
 8-core workload (streaming writers, bursty solvers, light compute),
-runs it through the many-core engine under several policies, and
+runs it through the stepping kernel under several policies, and
 compares makespans, bus utilization and core stall time.
 
 Run:  python examples/manycore_io_bandwidth.py
@@ -17,9 +17,9 @@ from repro.algorithms import (
     GreedyFinishJobs,
     RoundRobin,
 )
+from repro.backends import get_backend
+from repro.core import CoreActivityRecorder, best_lower_bound, run_kernel
 from repro.generators import make_io_workload, tasks_to_instance
-from repro.core import best_lower_bound
-from repro.simulation import run_workload
 
 
 def main() -> None:
@@ -48,18 +48,26 @@ def main() -> None:
     print(f"\n{'policy':<28} {'makespan':>8} {'bus util':>9} {'stalls':>7}")
     best = None
     for policy in policies:
-        trace = run_workload(tasks, policy, unit_split=True)
-        stalls = sum(cs.stall_steps for cs in trace.core_summaries)
+        recorder = CoreActivityRecorder(instance.num_processors)
+        runtime = get_backend("exact").make_runtime(instance, policy)
+        makespan = run_kernel(runtime, policy, [recorder])
         print(
-            f"{policy.name:<28} {trace.makespan:>8} "
-            f"{float(trace.bus_utilization) * 100:>8.1f}% {stalls:>7}"
+            f"{policy.name:<28} {makespan:>8} "
+            f"{float(recorder.bus_utilization) * 100:>8.1f}% "
+            f"{sum(recorder.stall_steps):>7}"
         )
-        if best is None or trace.makespan < best[1]:
-            best = (policy.name, trace.makespan, trace)
+        if best is None or makespan < best[1]:
+            best = (policy.name, makespan, recorder)
 
-    name, makespan, trace = best
+    name, makespan, recorder = best
     print(f"\nbest policy: {name} ({makespan} steps); per-core summary:")
-    print(trace.summary_table())
+    print(f"{'core':>4}  {'task':<14} {'phases':>6} {'done@':>6} {'busy':>5} {'stall':>5}")
+    for core, task in enumerate(tasks):
+        print(
+            f"{core:>4}  {task.name:<14} {len(task.phases):>6} "
+            f"{recorder.last_completion[core] + 1:>6} "
+            f"{recorder.busy_steps[core]:>5} {recorder.stall_steps[core]:>5}"
+        )
 
 
 if __name__ == "__main__":

@@ -18,8 +18,13 @@ Quickstart::
 
 Package map (see DESIGN.md for the full inventory):
 
-* :mod:`repro.core` -- instances, schedules, execution semantics,
-  structural properties, hypergraphs, lower bounds;
+* :mod:`repro.core` -- instances, schedules, the one stepping kernel
+  and its observers (shares, completions, objectives, per-core
+  busy/stall and bus use), structural properties, hypergraphs, lower
+  bounds;
+* :mod:`repro.backends`, :mod:`repro.kernels` -- exact, vector,
+  batched and fused compiled execution; each run picks its own path
+  (:func:`repro.kernels.decide`), there is no switch to set;
 * :mod:`repro.algorithms` -- RoundRobin (Thm 3), GreedyBalance
   (Thm 7/8), exact algorithms for m=2 (Thm 5) and fixed m (Thm 6),
   oracles;
@@ -29,7 +34,6 @@ Package map (see DESIGN.md for the full inventory):
   random families, synthetic many-core workloads;
 * :mod:`repro.sequencing` -- queue order / placement as a decision
   variable (static orders, greedy placement, local search);
-* :mod:`repro.simulation` -- the shared-bus many-core substrate;
 * :mod:`repro.telemetry` -- structured tracing, metrics, and the
   hot-spot profiler (zero-cost unless a session is installed);
 * :mod:`repro.experiments` -- one reproduction per figure/theorem;

@@ -599,8 +599,7 @@ def resolve_policy(policy: "Policy | Callable | str") -> Policy:
     """Resolve a policy given by registry name, passing objects through.
 
     The shared name-resolution step behind every public entry point
-    (``run_policy``, ``simulate``, ``cross_validate``,
-    ``ManyCoreEngine.run``, the backends), so
+    (``run_policy``, ``simulate``, ``cross_validate``, the backends), so
     ``run_policy(inst, "round-robin")`` works anywhere a policy object
     does instead of crashing with ``TypeError: 'str' object is not
     callable`` deep inside the kernel.

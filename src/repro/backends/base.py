@@ -210,8 +210,8 @@ class Backend(ABC):
     def make_runtime(self, instance: "Instance", policy) -> "KernelRuntime":
         """The kernel runtime this backend contributes.
 
-        Callers that need custom telemetry (e.g. the many-core engine's
-        :class:`~repro.simulation.traces.RunTrace` observer) obtain the
+        Callers that need custom telemetry (e.g. the SIM experiment's
+        :class:`~repro.core.kernel.CoreActivityRecorder`) obtain the
         backend's runtime and drive :func:`repro.core.kernel.run_kernel`
         themselves, so every execution path shares the one step loop.
 

@@ -46,7 +46,6 @@ def _run_one(payload: tuple) -> dict[str, Any]:
         objective_names,
         sequencer_name,
         sequencer_options,
-        compiled,
     ) = payload
     policy = get_policy(policy_name)
     backend = get_backend(backend_name)
@@ -66,16 +65,12 @@ def _run_one(payload: tuple) -> dict[str, Any]:
             )
             .sequence(instance)
         )
-    # Only the vector backend knows the compiled tier; other backends
-    # keep their exact signature (the runner validates the pairing).
-    extra = {"compiled": compiled} if backend_name == "vector" else {}
     result = backend.run(
         instance,
         policy,
         max_steps=max_steps,
         record_shares=False,
         objectives=objectives,
-        **extra,
     )
     elapsed = time.perf_counter() - t0
     # Release-aware bound; identical to Observation 1's work bound for
@@ -305,11 +300,6 @@ class BatchRunner:
             array-capable policy.
         batch_lanes: instances stepped together per batched kernel
             call under ``execution="batched"`` (default 64).
-        compiled: compiled-tier mode forwarded to the vector paths
-            (``"auto"``/``"on"``/``"off"`` or a boolean, see
-            :mod:`repro.kernels`).  ``"on"`` requires the ``"vector"``
-            backend; other backends ignore the setting under
-            ``"auto"``/``"off"``.
     """
 
     def __init__(
@@ -324,22 +314,14 @@ class BatchRunner:
         sequencer_options: dict[str, Any] | None = None,
         execution: str = "processes",
         batch_lanes: int = 64,
-        compiled: str | bool = "auto",
     ) -> None:
         # Fail fast on unknown names (workers resolve them again).
         from ..algorithms import get_policy
-        from ..kernels import normalize_compiled
         from ..objectives import get_objective
         from . import get_backend
 
         resolved_policy = get_policy(policy)
         get_backend(backend)
-        compiled = normalize_compiled(compiled)
-        if compiled == "on" and backend != "vector":
-            raise BackendError(
-                "compiled='on' requires the 'vector' backend, "
-                f"got {backend!r}"
-            )
         if execution not in ("processes", "batched"):
             raise BackendError(
                 f"unknown execution mode {execution!r}; "
@@ -383,7 +365,6 @@ class BatchRunner:
         self.sequencer_options = sequencer_options
         self.execution = execution
         self.batch_lanes = int(batch_lanes)
-        self.compiled = compiled
 
     def run(self, instances: Iterable[Instance]) -> BatchResult:
         """Execute the campaign; rows come back in input order.
@@ -412,7 +393,6 @@ class BatchRunner:
                     self.objectives,
                     self.sequencer,
                     self.sequencer_options,
-                    self.compiled,
                 )
                 for inst in instances
             ]
@@ -485,7 +465,6 @@ class BatchRunner:
                 policy,
                 objectives=objectives,
                 max_steps=self.max_steps,
-                compiled=self.compiled,
             )
             per_lane = (time.perf_counter() - t0) / len(chunk)
             for b, inst in enumerate(chunk):

@@ -16,8 +16,8 @@ and advances all of them with one shared array program per step:
   batched boolean masks and fancy-indexed gathers;
 * every lane terminates early -- a finished lane's processors hold
   zero remaining work, so it receives all-zero shares and rides along
-  masked; once the live fraction of a large batch drops below the
-  compaction threshold (default < 50%), the state *compacts* to the
+  masked; once the live fraction of a large batch drops below
+  :data:`COMPACT_THRESHOLD` (50%), the state *compacts* to the
   surviving lanes so long-tail ragged batches stop paying for dead
   ones (``BatchRunResult.compactions`` counts the shrinks);
 * objectives accumulate lane-wise through the standard
@@ -58,7 +58,6 @@ from ..exceptions import (
 )
 from ..kernels import (
     decide,
-    normalize_compiled,
     note_fallback,
     replay_run,
     run_fused_instance,
@@ -71,6 +70,10 @@ __all__ = [
     "BatchRunResult",
     "run_batch",
 ]
+
+#: Live-lane fraction below which a ragged batch (of at least 4 lanes)
+#: compacts to its surviving lanes; ``0`` disables compaction.
+COMPACT_THRESHOLD = 0.5
 
 
 class BatchVectorState:
@@ -529,16 +532,10 @@ class BatchVectorRuntime:
             ``shares_batch``.
         tol: completion / feasibility tolerance (as
             :class:`~repro.backends.vector.VectorBackend`).
-        compiled: compiled-tier mode (``"auto"``/``"on"``/``"off"`` or
-            a boolean).  ``"auto"`` sends eligible runs (built-in
-            policy, numba importable) through the fused driver and
-            falls back silently otherwise; ``"on"`` forces it (raising
-            :class:`~repro.exceptions.CompiledUnsupportedError` when
-            ineligible); ``"off"`` always uses the per-step array
-            program.
-        compact_threshold: live-lane fraction below which a ragged
-            batch compacts to its surviving lanes (``None`` or ``0``
-            disables compaction).
+
+    Like :class:`~repro.backends.vector.VectorBackend`, a run takes the
+    fused compiled driver whenever :func:`repro.kernels.decide` allows
+    it and the per-step array program otherwise.
     """
 
     def __init__(
@@ -547,8 +544,6 @@ class BatchVectorRuntime:
         policy,
         *,
         tol: float = 1e-9,
-        compiled: str | bool = "auto",
-        compact_threshold: float | None = 0.5,
     ) -> None:
         from ..algorithms import resolve_policy  # local: avoid import cycle
 
@@ -567,14 +562,6 @@ class BatchVectorRuntime:
         self.state = BatchVectorState(instances)
         self.tol = float(tol)
         self.batched_policy = bool(getattr(policy, "supports_batch", False))
-        self.compiled = normalize_compiled(compiled)
-        if compact_threshold is not None and not (
-            0.0 <= float(compact_threshold) <= 1.0
-        ):
-            raise ValueError("compact_threshold must be in [0, 1] or None")
-        self.compact_threshold = (
-            None if compact_threshold is None else float(compact_threshold)
-        )
 
     # ------------------------------------------------------------------
     # Step phases
@@ -746,16 +733,15 @@ class BatchVectorRuntime:
         from ..telemetry import get_session
 
         objectives = resolve_objectives(tuple(objectives))
-        if self.compiled != "off":
-            decision = decide(self.policy, self.compiled)
-            if decision.code is not None:
-                return self._run_compiled(
-                    decision.code,
-                    objectives=objectives,
-                    max_steps=max_steps,
-                    stall_limit=stall_limit,
-                )
-            note_fallback(decision.reason)
+        decision = decide(self.policy)
+        if decision.code is not None:
+            return self._run_compiled(
+                decision.code,
+                objectives=objectives,
+                max_steps=max_steps,
+                stall_limit=stall_limit,
+            )
+        note_fallback(decision.reason)
         state = self.state
         B = state.num_lanes
         if max_steps is None:
@@ -776,7 +762,7 @@ class BatchVectorRuntime:
         # state may compact to its surviving lanes mid-run, so this
         # map tracks where each current lane started.
         origin = np.arange(B, dtype=np.int64)
-        threshold = self.compact_threshold
+        threshold = COMPACT_THRESHOLD
         compactions = 0
         live = ~state.lane_done
         # Lanes born finished (no jobs at all) have makespan 0.
@@ -960,8 +946,6 @@ def run_batch(
     tol: float = 1e-9,
     max_steps: int | None = None,
     stall_limit: int = 3,
-    compiled: str | bool = "auto",
-    compact_threshold: float | None = 0.5,
 ) -> BatchRunResult:
     """Run *policy* over a batch of instances in one shared array program.
 
@@ -979,13 +963,7 @@ def run_batch(
         >>> run_batch(batch, "greedy-balance").makespans.tolist()
         [2, 3]
     """
-    runtime = BatchVectorRuntime(
-        instances,
-        policy,
-        tol=tol,
-        compiled=compiled,
-        compact_threshold=compact_threshold,
-    )
+    runtime = BatchVectorRuntime(instances, policy, tol=tol)
     return runtime.run(
         objectives=objectives, max_steps=max_steps, stall_limit=stall_limit
     )

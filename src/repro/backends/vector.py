@@ -49,7 +49,6 @@ from ..exceptions import (
 )
 from ..kernels import (
     decide,
-    normalize_compiled,
     note_fallback,
     replay_run,
     run_fused_instance,
@@ -564,33 +563,25 @@ class VectorBackend(Backend):
             them infeasible.  Must be far below the instance's
             requirement grid (the default ``1e-9`` is safe for grids
             down to ``1e-6``).
-        compiled: default dispatch mode for the compiled tier
-            (:mod:`repro.kernels`): ``"auto"`` (the default) routes
-            eligible runs -- built-in water-filling policy, no share
-            recording, numba installed -- through the JIT-fused
-            whole-run driver and falls back per-step otherwise (the
-            fallback reason lands in the ``compiled.fallbacks``
-            telemetry counter); ``"on"`` forces the fused driver (even
-            interpreted, without numba) and raises
-            :class:`~repro.exceptions.CompiledUnsupportedError` for
-            ineligible runs; ``"off"`` never compiles.  ``run`` can
-            override per call.
+
+    Each run picks its own execution path (:func:`repro.kernels.decide`):
+    a built-in water-filling policy with no share recording runs inside
+    the JIT-fused whole-run driver when numba is installed; every other
+    run steps through :func:`~repro.core.kernel.run_kernel`, and the
+    fallback reason lands in the ``compiled.fallbacks`` telemetry
+    counter.
     """
 
     name = "vector"
 
-    def __init__(
-        self, *, tol: float = 1e-9, compiled: str | bool = "auto"
-    ) -> None:
+    def __init__(self, *, tol: float = 1e-9) -> None:
         if tol <= 0:
             raise ValueError("tol must be positive")
         self.tol = float(tol)
-        self.compiled = normalize_compiled(compiled)
 
     def make_runtime(self, instance: Instance, policy) -> VectorRuntime:
         """The kernel runtime this backend contributes.
 
-        Shared with :class:`~repro.simulation.engine.ManyCoreEngine`.
         Policy registry names resolve first, so the ``shares_array``
         capability check below only ever judges genuine policy objects
         (an unresolved string used to be reported -- misleadingly -- as
@@ -613,31 +604,26 @@ class VectorBackend(Backend):
         record_shares: bool = True,
         stall_limit: int = 3,
         objectives=(),
-        compiled: str | bool | None = None,
     ) -> BackendResult:
         """Run *policy* on *instance* through the float64 kernel.
 
         *policy* may be a registry name; see
-        :func:`repro.algorithms.resolve_policy`.  *compiled* overrides
-        the backend's dispatch mode for this run (``None`` keeps it);
-        eligible runs execute inside the JIT-fused whole-run driver
-        and return no share rows (``shares is None``, as with
-        ``record_shares=False``).
+        :func:`repro.algorithms.resolve_policy`.  Runs the fused
+        driver serves return no share rows (``shares is None``, as
+        with ``record_shares=False``).
         """
         policy = self._resolve_policy(policy)
-        mode = normalize_compiled(compiled, default=self.compiled)
-        if mode != "off":
-            decision = decide(policy, mode, record_shares=record_shares)
-            if decision.code is not None:
-                return self._run_compiled(
-                    instance,
-                    policy,
-                    decision.code,
-                    max_steps=max_steps,
-                    stall_limit=stall_limit,
-                    objectives=objectives,
-                )
-            note_fallback(decision.reason)
+        decision = decide(policy, record_shares=record_shares)
+        if decision.code is not None:
+            return self._run_compiled(
+                instance,
+                policy,
+                decision.code,
+                max_steps=max_steps,
+                stall_limit=stall_limit,
+                objectives=objectives,
+            )
+        note_fallback(decision.reason)
         runtime = self.make_runtime(instance, policy)
         completions = CompletionRecorder()
         recorders = self._objective_observers(instance, objectives)

@@ -6,9 +6,8 @@ Subcommands:
   (optionally write CSV/SVG);
 * ``list`` -- list experiments, policies, and backends;
 * ``solve <instance.json>`` -- exact optimum of an instance file;
-* ``run`` / ``schedule <instance.json> --policy NAME --backend
-  {exact,vector}`` -- run a policy and render the schedule (``run`` is
-  the canonical name, ``schedule`` the historical alias);
+* ``run <instance.json> --policy NAME --backend {exact,vector}`` --
+  run a policy and render the schedule;
 * ``batch`` -- run a seeded campaign of random instances through a
   backend, sharded over worker processes;
 * ``crosscheck`` -- audit the vector backend against the exact one on
@@ -23,13 +22,13 @@ Subcommands:
   table (time per kernel phase: query/check/apply/observers);
 * ``demo`` -- a quick end-to-end tour on the Figure 1 instance.
 
-``run``/``schedule``, ``batch`` and ``crosscheck`` also take the
+``run``, ``batch`` and ``crosscheck`` also take the
 telemetry flags: ``--trace FILE`` writes structured trace records
 (``--trace-format jsonl`` for grep-able JSONL, ``chrome`` for a
 Chrome ``trace_event`` file loadable at https://ui.perfetto.dev), and
 ``--metrics`` prints a prometheus-style metrics dump after the run.
 
-``run``/``schedule``, ``batch`` and ``crosscheck`` all accept
+``run``, ``batch`` and ``crosscheck`` all accept
 ``--arrivals MAX`` (with ``--arrival-seed``) to sample staggered
 per-processor release times on ``0..MAX`` -- the online-arrival
 scenario axis; 0 (the default) is the paper's static model.  They
@@ -172,7 +171,7 @@ def _sequencer_options(args: argparse.Namespace) -> dict:
     """Factory options for the selected sequencer, from CLI flags.
 
     The single flag-to-option mapping shared by every subcommand:
-    run/schedule and crosscheck build the sequencer object through
+    run and crosscheck build the sequencer object through
     :func:`_resolve_sequencer_arg`, batch forwards name + options to
     the workers -- both read this dict, so a new local-search flag
     cannot drift between subcommands.
@@ -287,18 +286,6 @@ def _add_resource_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_compiled_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--compiled",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="fused compiled kernel tier on the vector paths: auto = "
-        "use it when numba and a built-in policy allow (the default, "
-        "falls back transparently), on = force it (error when the run "
-        "is ineligible), off = always the per-step NumPy engine",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crsharing",
@@ -325,31 +312,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="exact optimum of an instance file")
     p_solve.add_argument("instance", type=Path)
 
-    for cmd, help_text in (
-        ("run", "run a policy on an instance file"),
-        ("schedule", "alias of `run` (historical name)"),
-    ):
-        p_sched = sub.add_parser(cmd, help=help_text)
-        p_sched.add_argument("instance", type=Path)
-        p_sched.add_argument(
-            "--policy",
-            default="greedy-balance",
-            help=f"one of {available_policies()}",
-        )
-        p_sched.add_argument(
-            "--backend",
-            choices=available_backends(),
-            default="exact",
-            help="simulation engine: exact Fractions or vectorized float64",
-        )
-        _add_arrival_args(p_sched)
-        _add_resource_args(p_sched)
-        _add_objective_args(p_sched)
-        _add_sequencer_args(p_sched)
-        _add_telemetry_args(p_sched)
-        _add_compiled_arg(p_sched)
-        p_sched.add_argument("--svg", type=Path, help="write a Gantt SVG")
-        p_sched.add_argument("--json", type=Path, help="write the schedule as JSON")
+    p_run = sub.add_parser("run", help="run a policy on an instance file")
+    p_run.add_argument("instance", type=Path)
+    p_run.add_argument(
+        "--policy",
+        default="greedy-balance",
+        help=f"one of {available_policies()}",
+    )
+    p_run.add_argument(
+        "--backend",
+        choices=available_backends(),
+        default="exact",
+        help="simulation engine: exact Fractions or vectorized float64",
+    )
+    _add_arrival_args(p_run)
+    _add_resource_args(p_run)
+    _add_objective_args(p_run)
+    _add_sequencer_args(p_run)
+    _add_telemetry_args(p_run)
+    p_run.add_argument("--svg", type=Path, help="write a Gantt SVG")
+    p_run.add_argument("--json", type=Path, help="write the schedule as JSON")
 
     p_batch = sub.add_parser(
         "batch", help="run a campaign of random instances through a backend"
@@ -382,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_objective_args(p_batch)
     _add_sequencer_args(p_batch)
     _add_telemetry_args(p_batch)
-    _add_compiled_arg(p_batch)
     p_batch.add_argument(
         "--arrival-rate",
         type=float,
@@ -429,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_objective_args(p_cross)
     _add_sequencer_args(p_cross)
     _add_telemetry_args(p_cross)
-    _add_compiled_arg(p_cross)
 
     p_certify = sub.add_parser(
         "certify",
@@ -692,7 +672,7 @@ def _cmd_list() -> int:
         print(f"  {name}")
     print()
     print(
-        "scenario axes on run/schedule, batch, crosscheck:\n"
+        "scenario axes on run, batch, crosscheck:\n"
         "  --arrivals MAX   staggered per-processor release times "
         "(0 = the paper's static model)\n"
         "  --resources K    K shared resources with per-job requirement "
@@ -709,13 +689,16 @@ def _cmd_list() -> int:
 
     print()
     if NUMBA_AVAILABLE:
-        status = f"numba {numba_version()} installed (auto uses it)"
+        status = (
+            f"numba {numba_version()} installed (vector runs of built-in "
+            "policies without share rows use the fused driver)"
+        )
     else:
         status = (
-            "numba not installed (auto falls back to the NumPy engine; "
+            "numba not installed (vector runs use the NumPy engine; "
             "pip install '.[compiled]' to enable)"
         )
-    print(f"compiled kernels (--compiled auto|on|off): {status}")
+    print(f"compiled kernels: {status}")
     return 0
 
 
@@ -765,7 +748,7 @@ def _annotate_objective_axes(args: argparse.Namespace, instance):
     return instance
 
 
-def _cmd_schedule(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     from .generators import with_arrivals, with_resources
 
     instance = load_instance(args.instance)
@@ -799,7 +782,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     if args.backend != "exact" or instance.num_resources > 1:
         # Multi-resource runs have no exact Schedule artifact either;
         # they report through the backend-result path.
-        return _cmd_schedule_backend(args, instance, policy)
+        return _cmd_run_backend(args, instance, policy)
     schedule = policy.run(instance)
     print(render_instance(instance))
     print()
@@ -828,7 +811,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_schedule_backend(args: argparse.Namespace, instance, policy) -> int:
+def _cmd_run_backend(args: argparse.Namespace, instance, policy) -> int:
     """Non-exact schedule run: report makespan + tolerant audit (the
     float backends produce no exact Schedule artifact to render)."""
     from .analysis import verify_share_rows
@@ -836,16 +819,8 @@ def _cmd_schedule_backend(args: argparse.Namespace, instance, policy) -> int:
     from .objectives import get_objective
 
     objectives = () if args.objective == "makespan" else (args.objective,)
-    compiled = getattr(args, "compiled", "auto")
-    extra = {}
-    if args.backend == "vector":
-        extra["compiled"] = compiled
-        if compiled == "on":
-            # The fused driver records completions, not per-step share
-            # rows, so the tolerant share audit has nothing to read.
-            extra["record_shares"] = False
     result = run_policy(
-        instance, policy, backend=args.backend, objectives=objectives, **extra
+        instance, policy, backend=args.backend, objectives=objectives
     )
     print(render_instance(instance))
     print()
@@ -859,24 +834,16 @@ def _cmd_schedule_backend(args: argparse.Namespace, instance, policy) -> int:
             f"lower_bound={float(bound):g} "
             f"ratio={objective.ratio(value, bound):g}"
         )
-    if result.shares is None:
-        print(
-            "share audit: skipped (compiled run records completions, "
-            "not per-step shares; re-run with --compiled off to audit)"
-        )
-        ok = True
-    else:
-        report = verify_share_rows(instance, result.shares)
-        print(f"feasible (tolerance 1e-9): {report.ok}")
-        for problem in report.problems:
-            print(f"  problem: {problem}")
-        ok = report.ok
+    report = verify_share_rows(instance, result.shares)
+    print(f"feasible (tolerance 1e-9): {report.ok}")
+    for problem in report.problems:
+        print(f"  problem: {problem}")
     if args.svg or args.json:
         print(
             "note: --svg/--json need the exact schedule artifact; "
             "re-run with --backend exact"
         )
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -909,7 +876,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         sequencer=args.sequencer,
         sequencer_options=_sequencer_options(args),
         execution=args.execution,
-        compiled=args.compiled,
     )
     if args.store is not None:
         import time as _time
@@ -942,8 +908,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         f"campaign: {args.count} x {args.family}(m={args.m}, n={args.n}, "
         f"grid={args.grid}) seed={args.seed} arrivals={arrivals} "
         f"resources={args.resources} objective={args.objective} "
-        f"sequencer={args.sequencer or 'fixed (as built)'} "
-        f"compiled={args.compiled}"
+        f"sequencer={args.sequencer or 'fixed (as built)'}"
     )
     for key in (
         "policy",
@@ -1023,7 +988,6 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
             sequencer=sequencer,
             certify=args.certify,
             certify_max_nodes=args.certify_max_nodes,
-            compiled=args.compiled,
         )
         if check.certificate is not None and check.certificate.proved:
             certified += 1
@@ -1048,15 +1012,10 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
         f"crosscheck: {args.count} instances, policy={args.policy}, "
         f"m={args.m}, n={args.n}, arrivals={args.arrivals}, "
         f"resources={args.resources}, objective={args.objective}, "
-        f"sequencer={args.sequencer or 'fixed (as built)'}, "
-        f"compiled={args.compiled}"
+        f"sequencer={args.sequencer or 'fixed (as built)'}"
     )
     print(f"  max relative makespan error: {worst_rel:.3g} (rtol {args.rtol:.3g})")
-    if args.compiled == "on":
-        print("  max per-step share deviation: n/a (compiled runs record "
-              "completions, not shares)")
-    else:
-        print(f"  max per-step share deviation: {worst_dev:.3g}")
+    print(f"  max per-step share deviation: {worst_dev:.3g}")
     if objectives:
         print(f"  max relative objective error: {worst_obj:.3g}")
     if args.certify:
@@ -1402,17 +1361,14 @@ def _cmd_demo() -> int:
     return 0
 
 
-#: Commands that read input files: a typed :class:`ReproError` there
-#: (bad instance, trace or event-log file) ends in a one-line
-#: ``error: ...`` on stderr and exit status 2, not a traceback.
-_INPUT_COMMANDS = ("run", "schedule", "serve", "replay")
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Parse *argv* and run the selected command; returns the exit status."""
+    """Parse *argv* and run the selected command; returns the exit status.
+
+    A typed :class:`ReproError` from any command (bad instance,
+    schedule, trace or event-log file, infeasible input) ends in one
+    ``error: ...`` line on stderr and exit status 2, not a traceback.
+    """
     args = build_parser().parse_args(argv)
-    if args.command not in _INPUT_COMMANDS:
-        return _dispatch(args)
     try:
         return _dispatch(args)
     except ReproError as exc:
@@ -1427,9 +1383,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_experiment(args)
     if args.command == "solve":
         return _cmd_solve(args)
-    if args.command in ("run", "schedule"):
+    if args.command == "run":
         with _telemetry(args):
-            return _cmd_schedule(args)
+            return _cmd_run(args)
     if args.command == "batch":
         with _telemetry(args):
             return _cmd_batch(args)

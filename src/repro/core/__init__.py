@@ -24,6 +24,7 @@ from .instance import Instance
 from .job import Job, JobId
 from .kernel import (
     CompletionRecorder,
+    CoreActivityRecorder,
     ExactRuntime,
     KernelRuntime,
     ObjectiveRecorder,
@@ -74,6 +75,7 @@ from .transforms import make_nice, make_non_wasting
 
 __all__ = [
     "CompletionRecorder",
+    "CoreActivityRecorder",
     "Component",
     "Configuration",
     "KernelCheckpoint",

@@ -20,12 +20,12 @@ or metric had to be added to each copy.  The kernel collapses them:
 
 :class:`StepObserver`
     the telemetry adapter.  Share recording, completion bookkeeping,
-    :class:`~repro.simulation.traces.RunTrace` construction, and
-    busy/stall accounting are all observers subscribed to the kernel,
-    so new metrics compose instead of being inlined into loop bodies.
+    and per-core busy/stall accounting are all observers subscribed to
+    the kernel, so new metrics compose instead of being inlined into
+    loop bodies.
 
-``simulate``, ``ManyCoreEngine.run``, ``ExactBackend`` and
-``VectorBackend`` are thin configurations of this kernel; golden-output
+``simulate``, ``ExactBackend`` and ``VectorBackend`` are thin
+configurations of this kernel; golden-output
 tests pin that release-time-0 instances execute bit-identically to the
 pre-kernel implementations.
 """
@@ -58,6 +58,7 @@ __all__ = [
     "StepObserver",
     "ShareRecorder",
     "CompletionRecorder",
+    "CoreActivityRecorder",
     "ObjectiveRecorder",
     "TelemetryObserver",
     "KernelRuntime",
@@ -76,8 +77,7 @@ def check_share_vector(
     """Exact feasibility check of one share assignment (Section 3.1).
 
     This is the single over-grant check every exact layer shares: the
-    simulator, the many-core engine, and the exact backend all report
-    infeasibility through it.  For single-resource instances *shares*
+    simulator and the exact backend report infeasibility through it.  For single-resource instances *shares*
     is one value per processor; for ``k > 1`` it is ``k`` rows (one
     per resource) and every row is checked against that resource's
     unit capacity.
@@ -267,6 +267,84 @@ class CompletionRecorder(StepObserver):
         self.completion_steps = {
             (int(i), int(j)): int(t) for i, j, t in state["completions"]
         }
+
+
+class CoreActivityRecorder(StepObserver):
+    """Per-core busy/stall steps, last completion step and bus use.
+
+    The Section 1 many-core view of a run on one shared resource (the
+    data bus).  A core is *busy* in a step when it was active
+    (released, with unfinished jobs) and processed work or completed a
+    job; it *stalls* when it was active but received no useful share.
+    An idle core (not yet released, or drained) earns neither.  The
+    recorder works unchanged on the exact and the vector runtime:
+    :attr:`bus_utilization` is a ``Fraction`` on exact runs and a
+    ``float`` on vector runs.
+
+    Attributes:
+        busy_steps: per core, the steps it made progress in.
+        stall_steps: per core, the active steps it got nothing done in.
+        last_completion: per core, the 0-based step its last job
+            completed in (``None`` while no job has completed).
+        bus_utilization: granted share per step over the whole run,
+            set by :meth:`on_finish`.
+
+    Example:
+        >>> from repro.core import Instance
+        >>> from repro.algorithms import GreedyBalance
+        >>> inst = Instance.from_percent([[100, 100], [50]])
+        >>> rec = CoreActivityRecorder(inst.num_processors)
+        >>> run_kernel(ExactRuntime(inst), GreedyBalance(), [rec])
+        3
+        >>> rec.busy_steps, rec.stall_steps, rec.last_completion
+        ([2, 1], [0, 2], [1, 2])
+        >>> rec.bus_utilization
+        Fraction(5, 6)
+    """
+
+    __slots__ = (
+        "busy_steps",
+        "stall_steps",
+        "last_completion",
+        "bus_utilization",
+        "_granted",
+    )
+
+    def __init__(self, num_processors: int) -> None:
+        self.busy_steps = [0] * num_processors
+        self.stall_steps = [0] * num_processors
+        self.last_completion: list[int | None] = [None] * num_processors
+        self.bus_utilization: Fraction | float = 0.0
+        self._granted = 0  # Fraction or float, depending on the runtime
+
+    def on_step(self, event: StepEvent) -> None:
+        """Count busy and stalled cores and the step's granted share."""
+        self._granted += sum(event.shares)
+        finishing = {i for i, _ in event.completed}
+        processed = event.processed
+        for i, active in enumerate(event.had_work):
+            if not active:
+                continue
+            if processed[i] > 0 or i in finishing:
+                self.busy_steps[i] += 1
+            else:
+                self.stall_steps[i] += 1
+
+    def on_complete(self, job: "JobId", t: int) -> None:
+        """Jobs of one core complete in order, so the last write wins."""
+        self.last_completion[job[0]] = t
+
+    def on_finish(self, makespan: int) -> None:
+        """Average the granted share over the run's steps."""
+        if not makespan:
+            self.bus_utilization = 0.0
+            return
+        utilization = self._granted / makespan
+        # Exact runs keep the Fraction; vector runs turn the summed
+        # numpy scalar into a plain Python float.
+        if not isinstance(utilization, Fraction):
+            utilization = float(utilization)
+        self.bus_utilization = utilization
 
 
 class ObjectiveRecorder(StepObserver):

@@ -19,7 +19,6 @@ __all__ = [
     "SolverError",
     "BackendError",
     "VectorizationUnsupportedError",
-    "CompiledUnsupportedError",
     "UnknownPolicyError",
     "SequencingError",
     "CheckpointError",
@@ -92,15 +91,6 @@ class VectorizationUnsupportedError(BackendError):
     on the exact backend."""
 
 
-class CompiledUnsupportedError(BackendError):
-    """``compiled="on"`` was forced for a run the compiled tier cannot
-    serve: the policy has no fused-driver code path (only the built-in
-    water-filling policies do -- see
-    :func:`repro.kernels.dispatch.compiled_policy_code`), or the run
-    needs per-step Python callbacks (``record_shares=True``).  Use
-    ``compiled="auto"`` to fall back transparently instead."""
-
-
 class SequencingError(ReproError):
     """The sequencing layer (:mod:`repro.sequencing`) was misused:
     unknown sequencer name, or a strategy produced queues that do not
@@ -140,8 +130,8 @@ class UnknownPolicyError(ReproError, KeyError):
 
     Raised by :func:`repro.algorithms.get_policy` (and therefore by
     every public entry point that resolves policy names --
-    ``run_policy``, ``simulate``, ``cross_validate``, ``BatchRunner``,
-    ``ManyCoreEngine.run``).  The message lists
+    ``run_policy``, ``simulate``, ``cross_validate``, ``BatchRunner``).
+    The message lists
     :func:`repro.algorithms.available_policies`.  Subclasses
     ``KeyError`` for backwards compatibility with callers that catch
     the registry's historical exception type.

@@ -16,9 +16,10 @@ from ..algorithms.heuristics import (
     LargestRequirementFirst,
 )
 from ..algorithms.round_robin import RoundRobin
+from ..backends import get_backend
+from ..core.kernel import CoreActivityRecorder, run_kernel
 from ..core.numerics import as_float
-from ..generators.workloads import make_io_workload
-from ..simulation.engine import run_workload
+from ..generators.workloads import make_io_workload, tasks_to_instance
 from .runner import ExperimentResult
 
 __all__ = ["run"]
@@ -38,13 +39,20 @@ def run(
         FewestRemainingJobsFirst(),
     ]
     totals: dict[str, list] = {p.name: [] for p in policies}
+    engine = get_backend(backend)
     for seed in seeds:
         tasks = make_io_workload(num_cores, seed=seed)
+        instance = tasks_to_instance(tasks, unit_split=unit_split)
         for policy in policies:
-            trace = run_workload(tasks, policy, unit_split=unit_split, backend=backend)
-            stalls = sum(cs.stall_steps for cs in trace.core_summaries)
+            recorder = CoreActivityRecorder(instance.num_processors)
+            runtime = engine.make_runtime(instance, policy)
+            makespan = run_kernel(runtime, policy, [recorder])
             totals[policy.name].append(
-                (trace.makespan, as_float(trace.bus_utilization), stalls)
+                (
+                    makespan,
+                    as_float(recorder.bus_utilization),
+                    sum(recorder.stall_steps),
+                )
             )
     rows = []
     for policy in policies:

@@ -233,12 +233,15 @@ def save_instance(instance: Instance, path: str | Path) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(instance), indent=2))
 
 
-def load_instance(path: str | Path) -> Instance:
-    """Read an instance document written by :func:`save_instance`.
+def _load_document(path: str | Path, kind: str, from_dict):
+    """Read, parse and decode one JSON document of the given *kind*.
+
+    The one read-and-parse step behind :func:`load_instance` and
+    :func:`load_schedule`.
 
     Raises:
         InputFormatError: the file cannot be read, is not JSON, or is
-            not a valid instance document.
+            not a valid *kind* document.
     """
     try:
         text = Path(path).read_text()
@@ -250,19 +253,29 @@ def load_instance(path: str | Path) -> Instance:
         raise InputFormatError(f"{path} is not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputFormatError(
-            f"{path} is not an instance document (top level is a "
+            f"{path} is not a {kind} document (top level is a "
             f"{type(data).__name__})"
         )
     try:
-        return instance_from_dict(data)
+        return from_dict(data)
     except KeyError as exc:
         raise InputFormatError(
-            f"{path} is not a valid instance document: missing key {exc}"
+            f"{path} is not a valid {kind} document: missing key {exc}"
         ) from exc
     except (TypeError, ValueError) as exc:
         raise InputFormatError(
-            f"{path} is not a valid instance document: {exc}"
+            f"{path} is not a valid {kind} document: {exc}"
         ) from exc
+
+
+def load_instance(path: str | Path) -> Instance:
+    """Read an instance document written by :func:`save_instance`.
+
+    Raises:
+        InputFormatError: the file cannot be read, is not JSON, or is
+            not a valid instance document.
+    """
+    return _load_document(path, "instance", instance_from_dict)
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
@@ -270,4 +283,10 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
 
 
 def load_schedule(path: str | Path) -> Schedule:
-    return schedule_from_dict(json.loads(Path(path).read_text()))
+    """Read a schedule document written by :func:`save_schedule`.
+
+    Raises:
+        InputFormatError: the file cannot be read, is not JSON, or is
+            not a valid schedule document.
+    """
+    return _load_document(path, "schedule", schedule_from_dict)

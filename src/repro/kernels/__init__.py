@@ -11,16 +11,16 @@ driver may serve it and translates results back into the observer
 world.
 
 Numba is optional (``pip install .[compiled]``) and import-guarded in
-exactly one place (:mod:`repro.kernels._numba`); without it this
-package still imports, the kernels run interpreted, and ``"auto"``
-mode transparently keeps using the NumPy per-step paths.
+exactly one place (:mod:`repro.kernels._numba`).  There is no switch:
+a vector run takes the fused driver when numba is importable, the
+policy is a built-in water-filling class and no share rows are
+requested (:func:`decide`); otherwise it runs the NumPy per-step path.
 
 Example:
-    >>> from repro.kernels import NUMBA_AVAILABLE, normalize_compiled
-    >>> normalize_compiled(None)
-    'auto'
-    >>> normalize_compiled(True)
-    'on'
+    >>> from repro.algorithms import GreedyBalance
+    >>> from repro.kernels import NUMBA_AVAILABLE, decide
+    >>> decide(GreedyBalance(), record_shares=True).reason
+    'record-shares'
     >>> isinstance(NUMBA_AVAILABLE, bool)
     True
 """
@@ -29,12 +29,10 @@ from __future__ import annotations
 
 from ._numba import NUMBA_AVAILABLE, njit, numba_version
 from .dispatch import (
-    COMPILED_MODES,
     CompiledDecision,
     compiled_policy_code,
     decide,
     instance_tables,
-    normalize_compiled,
     note_fallback,
     replay_run,
     run_fused_instance,
@@ -52,12 +50,10 @@ __all__ = [
     "NUMBA_AVAILABLE",
     "njit",
     "numba_version",
-    "COMPILED_MODES",
     "CompiledDecision",
     "compiled_policy_code",
     "decide",
     "instance_tables",
-    "normalize_compiled",
     "note_fallback",
     "replay_run",
     "run_fused_instance",

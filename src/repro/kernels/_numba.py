@@ -8,8 +8,8 @@ imports it: every kernel decorates its hot functions with the
 to a transparent no-op, so the kernels in
 :mod:`repro.kernels.waterfill` and :mod:`repro.kernels.driver` remain
 plain Python functions -- importable, testable, and runnable
-(interpreted) everywhere, while the backend layer's ``"auto"`` mode
-simply keeps using the existing NumPy paths.
+(interpreted) everywhere, while :func:`repro.kernels.decide` keeps
+every run on the existing NumPy paths.
 
 Masking numba out (the fallback test-suite does this with a
 ``sys.modules`` stub) and reloading this module flips the whole tier

@@ -1,16 +1,14 @@
 """Dispatch layer between the backends and the fused compiled driver.
 
 The backends never call :func:`repro.kernels.driver.run_fused`
-directly; they ask this module three questions:
+directly; they ask this module two questions:
 
-* :func:`normalize_compiled` -- what does the user's ``compiled``
-  argument (``"auto"``/``"on"``/``"off"``, booleans, ``None``) mean?
-* :func:`decide` -- can *this* run (policy, observer needs, numba
-  availability) use the fused driver, and if not, why not?  Under
-  ``"on"`` an ineligible run raises
-  :class:`~repro.exceptions.CompiledUnsupportedError`; under
-  ``"auto"`` it falls back to the per-step path and the reason is
-  counted in the ``compiled.fallbacks`` telemetry counter
+* :func:`decide` -- may *this* run use the fused driver, and if not,
+  why not?  There is no user-set switch: a run takes the fused path
+  exactly when numba is importable, the policy is a registered
+  built-in water-filling class, and no per-step share rows are
+  requested.  Every other run stays on the per-step path and the
+  reason is counted in the ``compiled.fallbacks`` telemetry counter
   (:func:`note_fallback`).
 * :func:`run_fused_instance` -- execute one instance through the
   driver and translate its status code back into the exceptions the
@@ -18,10 +16,10 @@ directly; they ask this module three questions:
 
 Eligibility is an *exact-type* lookup: a subclass of a built-in policy
 may override ``shares_array``, so only the registered classes
-themselves map to driver codes.  Without numba the driver runs
-interpreted -- ``"auto"`` then prefers the NumPy per-step path (reason
-``"numba-missing"``), while ``"on"`` still forces the fused driver so
-the compiled code path stays end-to-end testable everywhere.
+themselves map to driver codes.  Without numba the driver still runs
+(interpreted), but slower than the NumPy per-step path, so
+:func:`decide` keeps such runs per-step (reason ``"numba-missing"``);
+tests reach the driver by patching :data:`NUMBA_AVAILABLE`.
 
 Completion tables produced by the driver are replayed through the
 observer stack (:func:`replay_run`), so objective values and
@@ -35,11 +33,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..exceptions import (
-    CompiledUnsupportedError,
-    InfeasibleAssignmentError,
-    SimulationLimitError,
-)
+from ..exceptions import InfeasibleAssignmentError, SimulationLimitError
 from ..telemetry import get_session
 from ._numba import NUMBA_AVAILABLE
 from .driver import (
@@ -62,9 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..core.instance import Instance
 
 __all__ = [
-    "COMPILED_MODES",
     "CompiledDecision",
-    "normalize_compiled",
     "compiled_policy_code",
     "decide",
     "note_fallback",
@@ -73,36 +65,8 @@ __all__ = [
     "replay_run",
 ]
 
-#: The three dispatch modes accepted everywhere a ``compiled``
-#: argument exists.
-COMPILED_MODES = ("auto", "on", "off")
-
 #: Lazily built exact-type map {policy class: driver code}.
 _POLICY_CODES: dict[type, int] | None = None
-
-
-def normalize_compiled(value: Any, *, default: str = "auto") -> str:
-    """Normalize a user-facing ``compiled`` argument to a mode string.
-
-    ``None`` means "use *default*" (the backend's own setting);
-    booleans map to ``"on"``/``"off"``; strings must be one of
-    :data:`COMPILED_MODES`.
-
-    Raises:
-        ValueError: for anything else.
-    """
-    if value is None:
-        value = default
-    if value is True:
-        return "on"
-    if value is False:
-        return "off"
-    if isinstance(value, str) and value in COMPILED_MODES:
-        return value
-    raise ValueError(
-        f"compiled must be one of {COMPILED_MODES} (or a boolean), "
-        f"got {value!r}"
-    )
 
 
 def _policy_codes() -> dict[type, int]:
@@ -163,46 +127,21 @@ class CompiledDecision:
     reason: str | None
 
 
-def decide(
-    policy: Any, mode: str, *, record_shares: bool = False
-) -> CompiledDecision:
+def decide(policy: Any, *, record_shares: bool = False) -> CompiledDecision:
     """Decide whether one run goes through the fused driver.
 
     Args:
         policy: the (already resolved) policy object.
-        mode: a normalized mode (``"auto"``/``"on"``/``"off"``).
         record_shares: whether the caller needs per-step share rows --
             the fused driver records completions only, so share
             recording forces the per-step path.
-
-    Raises:
-        CompiledUnsupportedError: under ``mode="on"`` when the run
-            cannot be compiled (unknown policy, or share recording
-            requested); ``"auto"`` reports a fallback reason instead.
     """
-    if mode == "off":
-        return CompiledDecision(code=None, reason=None)
     code = compiled_policy_code(policy)
     if code is None:
-        if mode == "on":
-            raise CompiledUnsupportedError(
-                f"compiled='on' but policy "
-                f"{getattr(policy, 'name', policy)!r} has no fused-driver "
-                "path (only the built-in water-filling policies do); use "
-                "compiled='auto' to fall back transparently"
-            )
         return CompiledDecision(code=None, reason="policy")
     if record_shares:
-        if mode == "on":
-            raise CompiledUnsupportedError(
-                "compiled='on' is incompatible with record_shares=True: "
-                "the fused driver does not materialize per-step share "
-                "rows; pass record_shares=False or compiled='auto'"
-            )
         return CompiledDecision(code=None, reason="record-shares")
-    if mode == "auto" and not NUMBA_AVAILABLE:
-        # Interpreted, the fused driver is slower than the NumPy
-        # per-step path; only force it when explicitly asked to.
+    if not NUMBA_AVAILABLE:
         return CompiledDecision(code=None, reason="numba-missing")
     return CompiledDecision(code=code, reason=None)
 

@@ -120,23 +120,17 @@ class LocalSearchSequencer(Sequencer):
             acceptance sharpness for an order-of-magnitude higher
             evals/s (``benchmarks/bench_batched_evals.py`` gates the
             factor).
-        compiled: compiled-tier mode for vector-backend evaluations
-            (``"auto"``/``"on"``/``"off"`` or a boolean, see
-            :mod:`repro.kernels`); ``None`` (the default) keeps the
-            backend's own ``"auto"``.  Non-vector backends ignore it.
-        prefix_cache: resume candidate evaluations from
-            :class:`~repro.core.checkpoint.KernelCheckpoint` snapshots
-            taken along the incumbent's run, at the deepest completion
-            boundary whose per-queue progress stays strictly inside
-            the candidate's common order prefix -- neighbors differ
-            from the incumbent by one move, so most of their prefix
-            simulation is shared work.  ``None`` (the default)
-            auto-enables on the sequential vector path
-            (``batch_lanes == 1``, vector backend, vector-capable
-            policy, ``compiled != "on"``); ``True``/``False`` force
-            it.  Resumed evaluations are bit-identical to fresh ones
-            (the checkpoint layer's contract), so the search
-            trajectory does not change -- only its cost.
+
+    On the sequential vector path (``batch_lanes == 1``, vector
+    backend, vector-capable policy) candidate evaluations resume from
+    :class:`~repro.core.checkpoint.KernelCheckpoint` snapshots taken
+    along the incumbent's run, at the deepest completion boundary
+    whose per-queue progress stays strictly inside the candidate's
+    common order prefix -- neighbors differ from the incumbent by one
+    move, so most of their prefix simulation is shared work.  Resumed
+    evaluations are bit-identical to fresh ones (the checkpoint
+    layer's contract), so the search trajectory does not change --
+    only its cost.
 
     Attributes:
         last_stats: after each :meth:`sequence` call, a dict with the
@@ -182,12 +176,9 @@ class LocalSearchSequencer(Sequencer):
         seed: int = 0,
         max_steps: int | None = None,
         batch_lanes: int = 1,
-        compiled: str | bool | None = None,
-        prefix_cache: bool | None = None,
     ) -> None:
         from ..algorithms import resolve_policy  # local: avoid import cycle
         from ..backends import get_backend
-        from ..kernels import normalize_compiled
         from ..objectives import get_objective
 
         if budget < 1:
@@ -216,10 +207,6 @@ class LocalSearchSequencer(Sequencer):
         self.seed = int(seed)
         self.max_steps = max_steps
         self.batch_lanes = int(batch_lanes)
-        self.compiled = (
-            None if compiled is None else normalize_compiled(compiled)
-        )
-        self.prefix_cache = prefix_cache
         self.last_stats: dict[str, object] = {}
         # Per-sequence() evaluation cache and counters (reset each call).
         self._cache: dict[Instance, object] = {}
@@ -268,19 +255,12 @@ class LocalSearchSequencer(Sequencer):
     # ------------------------------------------------------------------
     def evaluate(self, instance: Instance):
         """Objective value of running the policy on one candidate order."""
-        extra = (
-            {"compiled": self.compiled}
-            if self.compiled is not None
-            and getattr(self.backend, "name", None) == "vector"
-            else {}
-        )
         result = self.backend.run(
             instance,
             self.policy,
             record_shares=False,
             max_steps=self.max_steps,
             objectives=(self.objective,),
-            **extra,
         )
         return result.objective_values[self.objective.name]
 
@@ -313,42 +293,14 @@ class LocalSearchSequencer(Sequencer):
     def _resolve_prefix_active(self) -> bool:
         """Whether this :meth:`sequence` call resumes from checkpoints.
 
-        The auto default (``prefix_cache=None``) requires the
-        sequential vector path: vector backend, ``batch_lanes == 1``,
-        a vector-capable policy, and not ``compiled == "on"`` (the
-        fused driver has no mid-run observer boundaries).  An explicit
-        ``True`` on an incompatible configuration raises instead of
-        silently degrading.
-
-        Raises:
-            SequencingError: ``prefix_cache=True`` with a non-vector
-                backend, ``batch_lanes > 1``, a policy without vector
-                support, or ``compiled == "on"``.
+        Only the sequential vector path can: vector backend,
+        ``batch_lanes == 1`` and a vector-capable policy.
         """
-        vector = getattr(self.backend, "name", None) == "vector"
-        capable = getattr(self.policy, "supports_vector", False)
-        eligible = (
-            vector
-            and capable
+        return (
+            getattr(self.backend, "name", None) == "vector"
+            and getattr(self.policy, "supports_vector", False)
             and self.batch_lanes == 1
-            and self.compiled != "on"
         )
-        if self.prefix_cache is None:
-            return eligible
-        if self.prefix_cache and not eligible:
-            reason = (
-                "a non-vector backend"
-                if not vector
-                else "a policy without vector support"
-                if not capable
-                else "batch_lanes > 1"
-                if self.batch_lanes != 1
-                else 'compiled == "on"'
-            )
-            raise SequencingError(
-                f"prefix_cache=True is incompatible with {reason}"
-            )
-        return bool(self.prefix_cache)
 
     @staticmethod
     def _queues_key(queues) -> tuple:
@@ -551,7 +503,6 @@ class LocalSearchSequencer(Sequencer):
                 objectives=(self.objective,),
                 tol=getattr(self.backend, "tol", 1e-9),
                 max_steps=max_steps,
-                compiled="auto" if self.compiled is None else self.compiled,
             )
             return result.objective_values[self.objective.name]
         return [self.evaluate(inst) for inst in insts]

@@ -44,7 +44,7 @@ from .export import (
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import PHASES, phase_report
-from .records import StepRecord, TraceRecord, run_trace_records
+from .records import TraceRecord
 from .tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "PHASES",
-    "StepRecord",
     "TelemetrySession",
     "TraceRecord",
     "Tracer",
@@ -65,7 +64,6 @@ __all__ = [
     "phase_report",
     "read_jsonl",
     "render_metrics",
-    "run_trace_records",
     "set_session",
     "use_session",
     "write_chrome_trace",

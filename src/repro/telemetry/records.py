@@ -1,26 +1,17 @@
 """Structured telemetry records (the one trace schema in the codebase).
 
 Every telemetry producer -- the kernel's span hooks, backend and
-campaign instrumentation, the legacy many-core engine traces -- reduces
-to one record type, :class:`TraceRecord`, so a single set of exporters
-(:mod:`repro.telemetry.export`) can serialize any of them.  Before this
-module existed the repo had two competing notions of "trace": the
-engine's :class:`StepRecord` rows and ad-hoc benchmark timings.  The
-step record now lives here (it *is* a structured per-step telemetry
-record); :mod:`repro.simulation.traces` re-exports it for backwards
-compatibility.
+campaign instrumentation -- reduces to one record type,
+:class:`TraceRecord`, so a single set of exporters
+(:mod:`repro.telemetry.export`) can serialize any of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from ..simulation.traces import RunTrace
-
-__all__ = ["TraceRecord", "StepRecord", "run_trace_records"]
+__all__ = ["TraceRecord"]
 
 #: ``kind`` values a :class:`TraceRecord` may carry.
 KINDS = ("span", "event")
@@ -75,72 +66,3 @@ class TraceRecord:
             ),
             attrs=dict(doc.get("attrs") or {}),
         )
-
-
-@dataclass(frozen=True, slots=True)
-class StepRecord:
-    """One engine tick (the legacy per-step simulation record).
-
-    Historically defined in :mod:`repro.simulation.traces`; it now
-    lives with the rest of the telemetry schema and is re-exported
-    from there.
-
-    Attributes:
-        t: step index.
-        grants: bandwidth share granted per core.
-        progress: work processed per core.
-        completed: task phases finishing this step, as
-            ``(core, phase_index)``.
-    """
-
-    t: int
-    grants: tuple[Fraction, ...]
-    progress: tuple[Fraction, ...]
-    completed: tuple[tuple[int, int], ...]
-
-
-def run_trace_records(trace: "RunTrace") -> list[TraceRecord]:
-    """Convert a legacy :class:`~repro.simulation.traces.RunTrace` into
-    telemetry records.
-
-    One unit-duration ``engine.step`` span per executed step (so the
-    Chrome exporter renders the run as a timeline) under a single
-    ``engine.run`` root span, with grants/progress/completions carried
-    as float attributes -- the bridge that lets the legacy engine
-    traces flow through the same JSONL/Chrome exporters as everything
-    else.
-    """
-    makespan = trace.makespan
-    records = [
-        TraceRecord(
-            kind="span",
-            name="engine.run",
-            ts=0.0,
-            dur=float(makespan),
-            span_id=1,
-            parent_id=None,
-            attrs={
-                "policy": trace.policy,
-                "makespan": makespan,
-                "bus_utilization": float(trace.bus_utilization),
-            },
-        )
-    ]
-    for step in trace.steps:
-        records.append(
-            TraceRecord(
-                kind="span",
-                name="engine.step",
-                ts=float(step.t),
-                dur=1.0,
-                span_id=step.t + 2,
-                parent_id=1,
-                attrs={
-                    "t": step.t,
-                    "grants": [float(g) for g in step.grants],
-                    "progress": [float(p) for p in step.progress],
-                    "completed": [list(c) for c in step.completed],
-                },
-            )
-        )
-    return records

@@ -1,23 +1,22 @@
-"""Lane compaction and compiled-mode plumbing of the batched engine.
+"""Lane compaction and execution-path choice of the batched engine.
 
 Compaction is a pure bookkeeping optimization: once the live fraction
-of a ragged batch drops below the threshold the state shrinks to the
-surviving lanes, and every result (makespans, objective values, error
-attribution) must be reported against *original* lane indices exactly
-as an uncompacted run reports them.  These tests pin that equivalence,
-the ``compactions``/``batch.compactions`` accounting, and the
-``compiled``/``compact_threshold`` parameter plumbing through
-``run_batch`` and ``BatchRunner``.
+of a ragged batch drops below ``COMPACT_THRESHOLD`` the state shrinks
+to the surviving lanes, and every result (makespans, objective values,
+error attribution) must be reported against *original* lane indices
+exactly as an uncompacted run reports them.  These tests pin that
+equivalence (compaction is switched off by patching the constant to
+0), the ``compactions``/``batch.compactions`` accounting, and that the
+fused and per-step paths give the same rows through ``run_batch``,
+``BatchRunner`` and the local-search sequencer.
 """
 
 import numpy as np
 import pytest
 
-from repro.algorithms import get_policy
+import repro.backends.batched
 from repro.algorithms.base import _fill_arrays_batch_multi, _fill_arrays_multi
 from repro.backends import BatchRunner, run_batch
-from repro.backends.batched import BatchVectorRuntime
-from repro.exceptions import BackendError
 from repro.generators import (
     multi_resource_instance,
     uniform_instance,
@@ -39,25 +38,36 @@ def _ragged_batch(seed, lanes=12):
     return insts
 
 
+@pytest.fixture
+def compact_threshold(monkeypatch, numba_available):
+    """A setter for the batched engine's compaction threshold.
+
+    Compaction only happens on the per-step array program, so the
+    fixture also keeps runs off the fused driver.
+    """
+    numba_available(False)
+
+    def use(value: float) -> None:
+        monkeypatch.setattr(repro.backends.batched, "COMPACT_THRESHOLD", value)
+
+    return use
+
+
 class TestCompactionEquivalence:
+    def test_default_threshold(self):
+        assert repro.backends.batched.COMPACT_THRESHOLD == 0.5
+
     @pytest.mark.parametrize("policy_name", ["greedy-balance", "round-robin"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_ragged_batch_results_unchanged(self, policy_name, seed):
+    def test_ragged_batch_results_unchanged(
+        self, policy_name, seed, compact_threshold
+    ):
         insts = _ragged_batch(seed)
-        base = run_batch(
-            insts,
-            policy_name,
-            objectives=OBJECTIVES,
-            compiled="off",
-            compact_threshold=None,
-        )
-        compacted = run_batch(
-            insts,
-            policy_name,
-            objectives=OBJECTIVES,
-            compiled="off",
-            compact_threshold=0.5,
-        )
+        compact_threshold(0)
+        base = run_batch(insts, policy_name, objectives=OBJECTIVES)
+        compact_threshold(0.5)
+        compacted = run_batch(insts, policy_name, objectives=OBJECTIVES)
+        assert base.compactions == 0
         assert compacted.compactions > 0  # the ragged shape triggers it
         assert np.array_equal(base.makespans, compacted.makespans)
         for name in OBJECTIVES:
@@ -66,51 +76,38 @@ class TestCompactionEquivalence:
         assert base.steps == compacted.steps
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_multires_ragged_batch(self, seed):
+    def test_multires_ragged_batch(self, seed, compact_threshold):
         insts = [
             multi_resource_instance(3, 1, 2, seed=seed + j) for j in range(6)
         ] + [multi_resource_instance(3, 7, 3, seed=seed + 50)]
-        base = run_batch(
-            insts, "greedy-balance", compiled="off", compact_threshold=None
-        )
-        compacted = run_batch(
-            insts, "greedy-balance", compiled="off", compact_threshold=0.5
-        )
+        compact_threshold(0)
+        base = run_batch(insts, "greedy-balance")
+        compact_threshold(0.5)
+        compacted = run_batch(insts, "greedy-balance")
         assert compacted.compactions > 0
         assert np.array_equal(base.makespans, compacted.makespans)
 
-    def test_uniform_batch_never_compacts(self):
+    def test_uniform_batch_never_compacts(self, numba_available):
         """Lanes finishing together leave nothing to compact."""
+        numba_available(False)
         insts = [uniform_instance(3, 3, seed=7)] * 6
-        result = run_batch(insts, "greedy-balance", compiled="off")
+        result = run_batch(insts, "greedy-balance")
         assert result.compactions == 0
 
-    def test_small_batches_never_compact(self):
+    def test_small_batches_never_compact(self, compact_threshold):
         """Below 4 lanes the bookkeeping outweighs the saving."""
+        compact_threshold(0.9)
         insts = _ragged_batch(0)[:3]
-        result = run_batch(
-            insts, "greedy-balance", compiled="off", compact_threshold=0.9
-        )
+        result = run_batch(insts, "greedy-balance")
         assert result.compactions == 0
 
-    def test_threshold_validation(self):
-        insts = [uniform_instance(2, 2, seed=0)]
-        with pytest.raises(ValueError):
-            BatchVectorRuntime(
-                insts, get_policy("greedy-balance"), compact_threshold=1.5
-            )
-
-    def test_compaction_telemetry_counter(self):
+    def test_compaction_telemetry_counter(self, numba_available):
         from repro.telemetry import TelemetrySession, use_session
 
+        numba_available(False)
         session = TelemetrySession()
         with use_session(session):
-            result = run_batch(
-                _ragged_batch(3),
-                "greedy-balance",
-                compiled="off",
-                compact_threshold=0.5,
-            )
+            result = run_batch(_ragged_batch(3), "greedy-balance")
         counters = {
             name: metric.value
             for name, labels, metric in session.metrics.items()
@@ -147,59 +144,49 @@ class TestBatchedMultiFillBitIdentity:
             assert np.array_equal(got[b], want), b
 
 
-class TestBatchRunnerCompiled:
-    def test_compiled_threads_through_batched_execution(self):
+def _both_paths(numba_available, run):
+    """``(fused, per_step)`` results of *run*."""
+    numba_available(True)
+    fused = run()
+    numba_available(False)
+    return fused, run()
+
+
+class TestBatchRunnerPaths:
+    def test_batched_execution_paths_agree(self, numba_available):
         insts = [uniform_instance(2, 2, seed=s) for s in range(4)]
-        on = BatchRunner(
-            backend="vector", workers=1, execution="batched", compiled="on"
-        ).run(insts)
-        off = BatchRunner(
-            backend="vector", workers=1, execution="batched", compiled="off"
-        ).run(insts)
-        assert on.makespans == off.makespans
+        runner = BatchRunner(backend="vector", workers=1, execution="batched")
+        fused, per_step = _both_paths(numba_available, lambda: runner.run(insts))
+        assert fused.makespans == per_step.makespans
 
-    def test_compiled_threads_through_process_execution(self):
+    def test_process_execution_paths_agree(self, numba_available):
         insts = [uniform_instance(2, 2, seed=s) for s in range(3)]
-        on = BatchRunner(backend="vector", workers=1, compiled="on").run(insts)
-        off = BatchRunner(backend="vector", workers=1, compiled="off").run(insts)
-        assert on.makespans == off.makespans
+        runner = BatchRunner(backend="vector", workers=1)
+        fused, per_step = _both_paths(numba_available, lambda: runner.run(insts))
+        assert fused.makespans == per_step.makespans
 
-    def test_compiled_on_requires_vector_backend(self):
-        with pytest.raises(BackendError):
-            BatchRunner(backend="exact", compiled="on")
-
-    def test_exact_backend_ignores_auto(self):
+    def test_exact_backend_with_numba_available(self, numba_available):
+        numba_available(True)
         insts = [uniform_instance(2, 2, seed=1)]
-        result = BatchRunner(
-            backend="exact", workers=1, compiled="auto"
-        ).run(insts)
+        result = BatchRunner(backend="exact", workers=1).run(insts)
         assert len(result.rows) == 1
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner(compiled="sometimes")
 
-
-class TestLocalSearchCompiled:
-    def test_sequencer_compiled_modes_agree(self):
+class TestLocalSearchPaths:
+    @pytest.mark.parametrize("batch_lanes", [1, 8])
+    def test_sequencer_paths_agree(self, numba_available, batch_lanes):
         from repro.sequencing import get_sequencer
 
         inst = uniform_instance(3, 4, seed=3)
-        results = []
-        for mode in ("off", "on"):
+
+        def search():
             seq = get_sequencer(
-                "local-search", budget=30, seed=0, compiled=mode
+                "local-search", budget=30, seed=0, batch_lanes=batch_lanes
             )
-            results.append(seq.sequence(inst))
+            result = seq.sequence(inst)
             assert seq.last_stats["evaluations"] > 0
-        assert results[0] == results[1]  # same search trajectory
+            return result
 
-    def test_batched_evaluation_with_compiled(self):
-        from repro.sequencing import get_sequencer
-
-        inst = uniform_instance(3, 4, seed=4)
-        seq = get_sequencer(
-            "local-search", budget=24, seed=1, batch_lanes=8, compiled="on"
-        )
-        better = seq.sequence(inst)
-        assert inst.same_bag(better)
+        fused, per_step = _both_paths(numba_available, search)
+        assert fused == per_step  # same search trajectory
+        assert inst.same_bag(fused)

@@ -25,8 +25,7 @@ from repro.exceptions import (
     UnknownPolicyError,
     VectorizationUnsupportedError,
 )
-from repro.generators import make_io_workload, uniform_instance
-from repro.simulation.engine import ManyCoreEngine
+from repro.generators import uniform_instance
 
 
 @pytest.fixture
@@ -97,14 +96,6 @@ class TestEntryPoints:
         ]
         assert result.makespans == expected
 
-    def test_engine_run_accepts_name(self):
-        tasks = make_io_workload(3, seed=7)
-        by_name = ManyCoreEngine(tasks).run("round-robin")
-        by_object = ManyCoreEngine(tasks).run(get_policy("round-robin"))
-        assert [c.completion_step for c in by_name.core_summaries] == [
-            c.completion_step for c in by_object.core_summaries
-        ]
-
     def test_unknown_name_raises_at_each_entry_point(self, inst):
         with pytest.raises(UnknownPolicyError):
             run_policy(inst, "bogus")
@@ -116,8 +107,6 @@ class TestEntryPoints:
             get_backend("vector").run(inst, "bogus")
         with pytest.raises(UnknownPolicyError):
             BatchRunner(policy="bogus")
-        with pytest.raises(UnknownPolicyError):
-            ManyCoreEngine(make_io_workload(2, seed=0)).run("bogus")
 
 
 class TestVectorCapabilityCheck:

@@ -11,6 +11,46 @@ from repro.core import Instance
 
 
 @pytest.fixture
+def numba_available(monkeypatch):
+    """A setter for the one flag :func:`repro.kernels.decide` reads.
+
+    A vector run takes the fused driver exactly when ``decide`` sees
+    numba as importable (and the policy and share-recording rules allow
+    it).  ``numba_available(True)`` sends eligible runs through the
+    fused driver (interpreted when numba is not installed);
+    ``numba_available(False)`` keeps every run on the per-step path even
+    when numba is installed.
+    """
+    import repro.kernels.dispatch
+
+    def use(enabled: bool) -> None:
+        monkeypatch.setattr(repro.kernels.dispatch, "NUMBA_AVAILABLE", enabled)
+
+    return use
+
+
+@pytest.fixture
+def run_tasks():
+    """Run a many-core task workload (one task per core) through the kernel.
+
+    Returns a function ``run(tasks, policy, *, unit_split=True,
+    backend="exact") -> (makespan, recorder)`` where *recorder* is the
+    run's :class:`~repro.core.kernel.CoreActivityRecorder`.
+    """
+    from repro.backends import get_backend
+    from repro.core.kernel import CoreActivityRecorder, run_kernel
+    from repro.generators import tasks_to_instance
+
+    def run(tasks, policy, *, unit_split=True, backend="exact"):
+        instance = tasks_to_instance(tasks, unit_split=unit_split)
+        recorder = CoreActivityRecorder(instance.num_processors)
+        runtime = get_backend(backend).make_runtime(instance, policy)
+        return run_kernel(runtime, policy, [recorder]), recorder
+
+    return run
+
+
+@pytest.fixture
 def two_proc_instance() -> Instance:
     """A small fixed m=2 instance used across suites."""
     return Instance.from_requirements(

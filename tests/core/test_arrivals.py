@@ -29,7 +29,6 @@ from repro.generators import (
     with_arrivals,
 )
 from repro.io import instance_from_dict, instance_to_dict
-from repro.simulation import run_workload
 
 from .test_golden import share_digest
 
@@ -215,16 +214,17 @@ class TestArrivalGenerators:
         ]
         assert [list(i.releases) for i in a] != [list(r) for r in coupled]
 
-    def test_engine_idle_before_start_is_not_a_stall(self):
+    @pytest.mark.parametrize("backend", ["exact", "vector"])
+    def test_idle_before_start_is_not_a_stall(self, run_tasks, backend):
         tasks = [
             TaskSpec("early", [Phase("1/2", 1)]),
             TaskSpec("late", [Phase("1/2", 1)], start=6),
         ]
-        trace = run_workload(tasks, GreedyBalance(), unit_split=True)
-        late = trace.core_summaries[1]
+        _, rec = run_tasks(tasks, GreedyBalance(), backend=backend)
         # core 1 is inactive (not stalled) until its task starts
-        assert late.stall_steps == 0
-        assert late.completion_step == 6
+        assert rec.stall_steps[1] == 0
+        assert rec.busy_steps[1] == 1
+        assert rec.last_completion[1] == 6
 
 
 class TestArrivalsExperiment:

@@ -22,7 +22,6 @@ from repro.exceptions import (
     SimulationLimitError,
 )
 from repro.generators import Phase, TaskSpec
-from repro.simulation import ManyCoreEngine
 
 
 class RecordingObserver(StepObserver):
@@ -110,11 +109,10 @@ class TestUniformInfeasibility:
         with pytest.raises(InfeasibleAssignmentError, match="overused"):
             simulate(two_proc_instance, lambda s: [1, 1])
 
-    def test_engine_raises_infeasible_not_value_error(self):
+    def test_activity_run_raises_infeasible_not_value_error(self, run_tasks):
         tasks = [TaskSpec("a", [Phase("1/2", 1)]), TaskSpec("b", [Phase("1/2", 1)])]
-        engine = ManyCoreEngine(tasks, unit_split=True)
         with pytest.raises(InfeasibleAssignmentError, match="overused"):
-            engine.run(lambda s: [Fraction(1), Fraction(1)])
+            run_tasks(tasks, lambda s: [Fraction(1), Fraction(1)])
 
     def test_vector_backend_raises_infeasible(self, two_proc_instance):
         class OverGrant(GreedyBalance):

@@ -1,19 +1,21 @@
 """Seeded crosscheck matrix for the fused compiled driver.
 
-The acceptance bar for the compiled tier: a ``compiled="on"`` vector
-run must agree with the exact Fraction backend (integer makespans, so
-equality) and with the per-step ``compiled="off"`` vector run within
-1e-9 on every objective -- across every built-in policy,
+The acceptance bar for the compiled tier: a vector run served by the
+fused driver must agree with the exact Fraction backend (integer
+makespans, so equality) and with the per-step vector run within 1e-9
+on every objective -- across every built-in policy,
 ``k in {1, 2, 3}``, the arrival axis, weighted and deadline-carrying
 jobs, and ragged batched runs.  Well over 100 seeded cases run here;
 each case audits one (policy, instance) pair through all three
-engines.
+engines.  The ``numba_available`` fixture (``tests/conftest.py``)
+picks the path each run takes.
 """
 
 import pytest
 
 from repro.algorithms import available_policies, get_policy
 from repro.backends import ExactBackend, VectorBackend, run_batch
+from repro.telemetry import TelemetrySession, use_session
 from repro.generators import (
     bag_instance,
     general_size_instance,
@@ -30,26 +32,37 @@ RTOL = 1e-9
 OBJECTIVES = ("makespan", "weighted-flow", "tardiness")
 
 
-def assert_compiled_matches(instance, policy, *, objectives=OBJECTIVES):
+def fused_run(numba_available, run):
+    """Call *run* on the fused path and check that it really took it."""
+    numba_available(True)
+    session = TelemetrySession(tracing=False)
+    with use_session(session):
+        result = run()
+    assert session.metrics.counter("compiled.runs").value >= 1
+    return result
+
+
+def per_step_run(numba_available, run):
+    """Call *run* on the per-step path."""
+    numba_available(False)
+    return run()
+
+
+def assert_compiled_matches(
+    numba_available, instance, policy, *, objectives=OBJECTIVES
+):
     """One instance through exact, per-step vector, and fused driver."""
     exact = ExactBackend().run(
         instance, policy, record_shares=False, objectives=objectives
     )
-    backend = VectorBackend()
-    off = backend.run(
-        instance,
-        policy,
-        record_shares=False,
-        objectives=objectives,
-        compiled="off",
-    )
-    on = backend.run(
-        instance,
-        policy,
-        record_shares=False,
-        objectives=objectives,
-        compiled="on",
-    )
+
+    def vector():
+        return VectorBackend().run(
+            instance, policy, record_shares=False, objectives=objectives
+        )
+
+    off = per_step_run(numba_available, vector)
+    on = fused_run(numba_available, vector)
     assert on.makespan == off.makespan == exact.makespan, policy.name
     assert on.completion_steps == off.completion_steps, policy.name
     for name in objectives:
@@ -68,15 +81,15 @@ class TestAllPoliciesSingleResource:
 
     @pytest.mark.parametrize("policy_name", sorted(available_policies()))
     @pytest.mark.parametrize("seed", range(6))
-    def test_uniform(self, policy_name, seed):
+    def test_uniform(self, policy_name, seed, numba_available):
         inst = uniform_instance(2 + seed % 4, 2 + seed % 5, seed=31 * seed)
-        assert_compiled_matches(inst, get_policy(policy_name))
+        assert_compiled_matches(numba_available, inst, get_policy(policy_name))
 
     @pytest.mark.parametrize("policy_name", sorted(available_policies()))
     @pytest.mark.parametrize("seed", range(3))
-    def test_general_sizes(self, policy_name, seed):
+    def test_general_sizes(self, policy_name, seed, numba_available):
         inst = general_size_instance(3, 4, seed=47 * seed + 1)
-        assert_compiled_matches(inst, get_policy(policy_name))
+        assert_compiled_matches(numba_available, inst, get_policy(policy_name))
 
 
 class TestAxes:
@@ -86,39 +99,40 @@ class TestAxes:
         "policy_name", ["greedy-balance", "round-robin", "proportional-share"]
     )
     @pytest.mark.parametrize("seed", range(5))
-    def test_arrivals(self, policy_name, seed):
+    def test_arrivals(self, policy_name, seed, numba_available):
         inst = with_arrivals(
             uniform_instance(3, 4, seed=seed), max_release=6, seed=900 + seed
         )
-        assert_compiled_matches(inst, get_policy(policy_name))
+        assert_compiled_matches(numba_available, inst, get_policy(policy_name))
 
     @pytest.mark.parametrize("policy_name", ["weighted-srpt", "greedy-balance"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_weights(self, policy_name, seed):
+    def test_weights(self, policy_name, seed, numba_available):
         inst = with_weights(bag_instance(3, 4, seed=seed), seed=40 + seed)
-        assert_compiled_matches(inst, get_policy(policy_name))
+        assert_compiled_matches(numba_available, inst, get_policy(policy_name))
 
     @pytest.mark.parametrize("profile", ["loose", "tight"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_deadlines(self, profile, seed):
+    def test_deadlines(self, profile, seed, numba_available):
         inst = with_deadlines(
             uniform_instance(3, 4, seed=seed), profile=profile, seed=70 + seed
         )
         assert_compiled_matches(
+            numba_available,
             inst,
             get_policy("edf-waterfill"),
             objectives=("makespan", "tardiness", "deadline-misses"),
         )
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_arrivals_and_weights(self, seed):
+    def test_arrivals_and_weights(self, seed, numba_available):
         inst = with_weights(
             with_arrivals(
                 uniform_instance(4, 3, seed=seed), max_release=5, seed=seed
             ),
             seed=seed,
         )
-        assert_compiled_matches(inst, get_policy("weighted-srpt"))
+        assert_compiled_matches(numba_available, inst, get_policy("weighted-srpt"))
 
 
 class TestMultiResource:
@@ -129,23 +143,23 @@ class TestMultiResource:
         "profile", ["independent", "correlated", "anti-correlated"]
     )
     @pytest.mark.parametrize("seed", range(3))
-    def test_multires(self, k, profile, seed):
+    def test_multires(self, k, profile, seed, numba_available):
         inst = multi_resource_instance(3, 4, k, profile=profile, seed=seed)
-        assert_compiled_matches(inst, get_policy("greedy-balance"))
+        assert_compiled_matches(numba_available, inst, get_policy("greedy-balance"))
 
     @pytest.mark.parametrize(
         "policy_name",
         ["proportional-share", "greedy-finish-jobs", "round-robin"],
     )
     @pytest.mark.parametrize("seed", range(3))
-    def test_multires_policies(self, policy_name, seed):
+    def test_multires_policies(self, policy_name, seed, numba_available):
         inst = with_resources(
             uniform_instance(3, 4, seed=seed), 2, seed=seed + 5
         )
-        assert_compiled_matches(inst, get_policy(policy_name))
+        assert_compiled_matches(numba_available, inst, get_policy(policy_name))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_multires_arrivals(self, seed):
+    def test_multires_arrivals(self, seed, numba_available):
         inst = with_resources(
             with_arrivals(
                 uniform_instance(3, 4, seed=seed), max_release=6, seed=seed
@@ -154,7 +168,7 @@ class TestMultiResource:
             profile="correlated",
             seed=seed,
         )
-        assert_compiled_matches(inst, get_policy("greedy-balance"))
+        assert_compiled_matches(numba_available, inst, get_policy("greedy-balance"))
 
 
 class TestBatchedCompiled:
@@ -162,7 +176,7 @@ class TestBatchedCompiled:
 
     @pytest.mark.parametrize("policy_name", ["greedy-balance", "edf-waterfill"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_ragged_batch(self, policy_name, seed):
+    def test_ragged_batch(self, policy_name, seed, numba_available):
         insts = [
             uniform_instance(3, 4, seed=seed),
             uniform_instance(2, 6, seed=seed + 1),
@@ -171,8 +185,11 @@ class TestBatchedCompiled:
                 uniform_instance(3, 3, seed=seed + 2), max_release=5, seed=seed
             ),
         ]
-        off = run_batch(insts, policy_name, objectives=OBJECTIVES, compiled="off")
-        on = run_batch(insts, policy_name, objectives=OBJECTIVES, compiled="on")
+        def batch():
+            return run_batch(insts, policy_name, objectives=OBJECTIVES)
+
+        off = per_step_run(numba_available, batch)
+        on = fused_run(numba_available, batch)
         assert on.compiled and not off.compiled
         assert (on.makespans == off.makespans).all()
         for name in OBJECTIVES:
@@ -182,45 +199,54 @@ class TestBatchedCompiled:
         assert on.steps == int(on.makespans.max())
         assert on.lane_steps == int(on.makespans.sum())
 
-    def test_single_lane_batch(self):
+    def test_single_lane_batch(self, numba_available):
         inst = uniform_instance(3, 4, seed=123)
-        on = run_batch([inst], "greedy-balance", compiled="on")
-        ref = VectorBackend().run(inst, "greedy-balance", compiled="off")
+        on = fused_run(
+            numba_available, lambda: run_batch([inst], "greedy-balance")
+        )
+        ref = VectorBackend().run(inst, "greedy-balance")  # share rows: per-step
         assert on.lanes == 1 and int(on.makespans[0]) == ref.makespan
 
 
 class TestRunPolicyEntry:
-    """The run_policy entry point honors the compiled argument."""
+    """The run_policy entry point picks the fused path on its own."""
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_run_policy_on_off_agree(self, seed):
+    def test_run_policy_paths_agree(self, seed, numba_available):
         from repro.core.simulator import run_policy
 
         inst = uniform_instance(3, 4, seed=seed)
-        on = run_policy(
-            inst,
-            "greedy-balance",
-            backend="vector",
-            compiled="on",
-            record_shares=False,
+        on = fused_run(
+            numba_available,
+            lambda: run_policy(
+                inst, "greedy-balance", backend="vector", record_shares=False
+            ),
         )
-        off = run_policy(inst, "greedy-balance", backend="vector", compiled="off")
+        off = run_policy(inst, "greedy-balance", backend="vector")
         assert on.makespan == off.makespan
         assert on.shares is None  # the fused driver records completions
+        assert off.shares is not None  # share rows force the per-step path
 
-    def test_compiled_on_rejects_exact_backend(self):
+    def test_exact_backend_never_fuses(self, numba_available):
         from repro.core.simulator import run_policy
-        from repro.exceptions import BackendError
 
+        numba_available(True)
         inst = uniform_instance(2, 2, seed=0)
-        with pytest.raises(BackendError):
-            run_policy(inst, "greedy-balance", backend="exact", compiled="on")
+        session = TelemetrySession(tracing=False)
+        with use_session(session):
+            run_policy(inst, "greedy-balance", backend="exact")
+        assert session.metrics.counter("compiled.runs").value == 0
 
-    def test_cross_validate_compiled(self):
+    def test_cross_validate_without_shares(self, numba_available):
         from repro.backends import cross_validate
 
         inst = uniform_instance(3, 4, seed=5)
-        check = cross_validate(inst, "greedy-balance", compiled="on")
+        check = fused_run(
+            numba_available,
+            lambda: cross_validate(
+                inst, "greedy-balance", compare_shares=False
+            ),
+        )
         assert check.ok
         assert check.max_share_deviation is None  # shares not compared
 
@@ -228,41 +254,40 @@ class TestRunPolicyEntry:
 class TestDriverLimits:
     """The fused driver mirrors the interpreted kernel's aborts."""
 
-    def test_step_limit(self):
+    def test_step_limit(self, numba_available):
         from repro.exceptions import SimulationLimitError
 
+        numba_available(True)
         inst = uniform_instance(3, 6, seed=0)
         with pytest.raises(SimulationLimitError, match="compiled"):
             VectorBackend().run(
                 inst,
                 "greedy-balance",
-                compiled="on",
                 record_shares=False,
                 max_steps=1,
             )
 
-    def test_limit_matches_interpreted(self):
+    def test_limit_matches_interpreted(self, numba_available):
         """Both engines abort (or not) at exactly the same budget."""
         from repro.exceptions import SimulationLimitError
 
         inst = uniform_instance(3, 4, seed=9)
         backend = VectorBackend()
-        need = backend.run(
-            inst, "greedy-balance", compiled="off", record_shares=False
-        ).makespan
+        need = backend.run(inst, "greedy-balance").makespan
         for budget in (need - 1, need):
             outcomes = []
-            for mode in ("off", "on"):
+            for fused in (False, True):
+                numba_available(fused)
                 try:
                     backend.run(
                         inst,
                         "greedy-balance",
-                        compiled=mode,
                         record_shares=False,
                         max_steps=budget,
                     )
                     outcomes.append("ok")
-                except SimulationLimitError:
+                except SimulationLimitError as exc:
+                    assert ("compiled" in str(exc)) == fused
                     outcomes.append("limit")
             assert outcomes[0] == outcomes[1], budget
 

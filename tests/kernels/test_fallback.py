@@ -4,8 +4,8 @@ The import guard lives in exactly one module
 (:mod:`repro.kernels._numba`); these tests mask numba out with a
 ``sys.modules`` stub (and inject a fake one) and reload that module to
 verify both sides of the guard without requiring a numba install
-either way.  Dispatch-level fallback behavior (reasons, telemetry,
-``compiled="on"`` errors) is covered against the live configuration.
+either way.  Dispatch-level fallback behavior (reasons, telemetry) is
+covered by patching the flag :func:`repro.kernels.decide` reads.
 """
 
 import importlib
@@ -15,7 +15,6 @@ import types
 import pytest
 
 import repro.kernels._numba as numba_guard
-from repro.exceptions import CompiledUnsupportedError
 from repro.generators import uniform_instance
 
 
@@ -96,40 +95,33 @@ def test_kernels_import_without_numba(reload_guard):
 class TestDispatchFallback:
     """decide()/note_fallback behavior around missing eligibility."""
 
-    def test_auto_without_numba_falls_back(self, monkeypatch):
+    def test_without_numba_falls_back(self, numba_available):
         from repro.algorithms import get_policy
-        from repro.kernels import dispatch
+        from repro.kernels import decide
 
-        monkeypatch.setattr(dispatch, "NUMBA_AVAILABLE", False)
-        decision = dispatch.decide(get_policy("greedy-balance"), "auto")
+        numba_available(False)
+        decision = decide(get_policy("greedy-balance"))
         assert decision.code is None
         assert decision.reason == "numba-missing"
 
-    def test_auto_with_numba_compiles(self, monkeypatch):
+    def test_with_numba_compiles(self, numba_available):
         from repro.algorithms import get_policy
-        from repro.kernels import dispatch
+        from repro.kernels import decide
 
-        monkeypatch.setattr(dispatch, "NUMBA_AVAILABLE", True)
-        decision = dispatch.decide(get_policy("greedy-balance"), "auto")
+        numba_available(True)
+        decision = decide(get_policy("greedy-balance"))
         assert decision.code is not None
 
-    def test_on_forces_interpreted_driver(self, monkeypatch):
-        """compiled='on' uses the fused driver even without numba."""
-        from repro.algorithms import get_policy
-        from repro.kernels import dispatch
-
-        monkeypatch.setattr(dispatch, "NUMBA_AVAILABLE", False)
-        decision = dispatch.decide(get_policy("greedy-balance"), "on")
-        assert decision.code is not None
-
-    def test_unknown_policy_reason(self):
+    def test_unknown_policy_reason(self, numba_available):
         from repro.kernels import decide
 
         class NotRegistered:
             name = "custom"
 
-        decision = decide(NotRegistered(), "auto")
-        assert decision.code is None and decision.reason == "policy"
+        for available in (False, True):
+            numba_available(available)
+            decision = decide(NotRegistered())
+            assert decision.code is None and decision.reason == "policy"
 
     def test_subclass_never_inherits_the_code(self):
         from repro.algorithms.greedy_balance import GreedyBalance
@@ -141,48 +133,29 @@ class TestDispatchFallback:
         assert compiled_policy_code(GreedyBalance()) is not None
         assert compiled_policy_code(Tweaked()) is None
 
-    def test_on_with_unknown_policy_raises(self):
-        from repro.kernels import decide
-
-        class NotRegistered:
-            name = "custom"
-
-        with pytest.raises(CompiledUnsupportedError):
-            decide(NotRegistered(), "on")
-
-    def test_on_with_record_shares_raises(self):
+    def test_record_shares_reason(self, numba_available):
         from repro.algorithms import get_policy
         from repro.kernels import decide
 
-        with pytest.raises(CompiledUnsupportedError):
-            decide(get_policy("greedy-balance"), "on", record_shares=True)
-
-    def test_record_shares_reason_under_auto(self, monkeypatch):
-        from repro.algorithms import get_policy
-        from repro.kernels import dispatch
-
-        monkeypatch.setattr(dispatch, "NUMBA_AVAILABLE", True)
-        decision = dispatch.decide(
-            get_policy("greedy-balance"), "auto", record_shares=True
-        )
-        assert decision.code is None and decision.reason == "record-shares"
+        for available in (False, True):
+            numba_available(available)
+            decision = decide(get_policy("greedy-balance"), record_shares=True)
+            assert decision.code is None
+            assert decision.reason == "record-shares"
 
 
 class TestBackendFallbackTelemetry:
-    """Auto-mode fallbacks surface in the compiled.fallbacks counter."""
+    """Fallbacks surface in the compiled.fallbacks counter."""
 
-    def test_fallback_counter(self, monkeypatch):
+    def test_fallback_counter(self, numba_available):
         from repro.backends import VectorBackend
-        from repro.kernels import dispatch
         from repro.telemetry import TelemetrySession, use_session
 
-        monkeypatch.setattr(dispatch, "NUMBA_AVAILABLE", False)
+        numba_available(False)
         inst = uniform_instance(2, 3, seed=0)
         session = TelemetrySession()
         with use_session(session):
-            VectorBackend().run(
-                inst, "greedy-balance", record_shares=False, compiled="auto"
-            )
+            VectorBackend().run(inst, "greedy-balance", record_shares=False)
         samples = {
             tuple(sorted(labels.items())): metric.value
             for name, labels, metric in session.metrics.items()
@@ -190,15 +163,16 @@ class TestBackendFallbackTelemetry:
         }
         assert samples.get((("reason", "numba-missing"),)) == 1
 
-    def test_on_run_emits_compiled_counters(self):
+    def test_fused_run_emits_compiled_counters(self, numba_available):
         from repro.backends import VectorBackend
         from repro.telemetry import TelemetrySession, use_session
 
+        numba_available(True)
         inst = uniform_instance(2, 3, seed=0)
         session = TelemetrySession()
         with use_session(session):
             result = VectorBackend().run(
-                inst, "greedy-balance", record_shares=False, compiled="on"
+                inst, "greedy-balance", record_shares=False
             )
         counters = {
             name: metric.value
@@ -207,3 +181,46 @@ class TestBackendFallbackTelemetry:
         }
         assert counters.get("compiled.runs") == 1
         assert counters.get("compiled.steps") == result.makespan
+
+
+class TestNoPathSelectors:
+    """No entry point accepts a switch that picks an execution path."""
+
+    REMOVED = {"compiled", "prefix_cache", "compact_threshold"}
+
+    @staticmethod
+    def _entry_points():
+        from repro.backends import BatchRunner, VectorBackend, cross_validate
+        from repro.backends.batched import BatchVectorRuntime, run_batch
+        from repro.core.simulator import run_policy
+        from repro.sequencing import LocalSearchSequencer
+
+        return {
+            "run_policy": run_policy,
+            "VectorBackend": VectorBackend.__init__,
+            "VectorBackend.run": VectorBackend.run,
+            "BatchVectorRuntime": BatchVectorRuntime.__init__,
+            "run_batch": run_batch,
+            "BatchRunner": BatchRunner.__init__,
+            "cross_validate": cross_validate,
+            "LocalSearchSequencer": LocalSearchSequencer.__init__,
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "run_policy",
+            "VectorBackend",
+            "VectorBackend.run",
+            "BatchVectorRuntime",
+            "run_batch",
+            "BatchRunner",
+            "cross_validate",
+            "LocalSearchSequencer",
+        ],
+    )
+    def test_signature_has_no_selector(self, name):
+        import inspect
+
+        params = inspect.signature(self._entry_points()[name]).parameters
+        assert not self.REMOVED & set(params), name

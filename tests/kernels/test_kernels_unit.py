@@ -3,8 +3,8 @@
 The water-fill kernels are checked against brute-force sequential
 references; ``stable_order``/``round_key`` against ``np.lexsort`` and
 the interpreted policies' ``sort_key``; the dispatch helpers against
-their documented contracts (mode normalization, instance flattening,
-completion replay ordering).
+their documented contracts (instance flattening, completion replay
+ordering).
 """
 
 import numpy as np
@@ -12,32 +12,14 @@ import pytest
 
 from repro.generators import uniform_instance, with_arrivals, with_deadlines
 from repro.kernels import (
-    COMPILED_MODES,
     fill_multi,
     fill_single,
     instance_tables,
-    normalize_compiled,
     replay_run,
     round_key,
     run_fused_instance,
     stable_order,
 )
-
-
-class TestNormalizeCompiled:
-    def test_modes(self):
-        assert COMPILED_MODES == ("auto", "on", "off")
-        assert normalize_compiled(None) == "auto"
-        assert normalize_compiled(None, default="off") == "off"
-        assert normalize_compiled(True) == "on"
-        assert normalize_compiled(False) == "off"
-        for mode in COMPILED_MODES:
-            assert normalize_compiled(mode) == mode
-
-    @pytest.mark.parametrize("bad", ["ON", "yes", 1, 0.5, object()])
-    def test_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
-            normalize_compiled(bad)
 
 
 class TestOrderingPrimitives:
@@ -165,9 +147,7 @@ class TestRunFusedInstance:
         policy = get_policy("greedy-balance")
         code = compiled_policy_code(policy)
         makespan, completion = run_fused_instance(inst, code, tol=1e-9)
-        ref = VectorBackend().run(
-            inst, policy, record_shares=False, compiled="off"
-        )
+        ref = VectorBackend().run(inst, policy)  # share rows: per-step path
         assert makespan == ref.makespan
         assert (completion >= 0).sum() == inst.total_jobs
 

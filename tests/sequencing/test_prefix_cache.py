@@ -2,14 +2,17 @@
 
 The cache resumes candidate evaluations from
 :class:`~repro.core.checkpoint.KernelCheckpoint` snapshots taken along
-the incumbent's run, so it must be a pure optimization: the search
-trajectory (every order visited, every acceptance) with the cache on
-is pinned bit-identical to the cache-off run.
+the incumbent's run, so it must be a pure optimization.  The two
+evaluation paths are compared directly: every resumed evaluation the
+search makes is checked against a fresh run of the same candidate, and
+a search whose candidate evaluations all run fresh is pinned
+bit-identical (every order visited, every acceptance) to the resuming
+one.  Fresh evaluations stay on the per-step path
+(``numba_available(False)``), like the resumed ones.
 """
 
 import pytest
 
-from repro.exceptions import SequencingError
 from repro.generators import (
     bag_instance,
     multi_resource_instance,
@@ -29,49 +32,73 @@ def _annotated(seed=3):
     return with_deadlines(inst, profile="mixed", seed=seed + 3)
 
 
+class _Checked(LocalSearchSequencer):
+    """Checks every resumed evaluation against a fresh one."""
+
+    checked = 0
+
+    def _evaluate_prefix(self, candidate):
+        resumed = super()._evaluate_prefix(candidate)
+        assert resumed == self.evaluate(candidate)
+        self.checked += 1
+        return resumed
+
+
+class _Fresh(LocalSearchSequencer):
+    """Evaluates every uncached candidate from ``t=0``."""
+
+    def _evaluate_prefix(self, candidate):
+        return self.evaluate(candidate)
+
+
 def _pair(**kwargs):
-    on = LocalSearchSequencer(prefix_cache=True, **kwargs)
-    off = LocalSearchSequencer(prefix_cache=False, **kwargs)
-    return on, off
+    return _Checked(**kwargs), _Fresh(**kwargs)
+
+
+@pytest.fixture(autouse=True)
+def _per_step(numba_available):
+    numba_available(False)
 
 
 class TestTrajectoryIdentity:
-    """Cache on vs off: same orders, same values, same decisions."""
+    """Resumed vs fresh: same orders, same values, same decisions."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_result_and_decisions(self, seed):
         inst = bag_instance(4, 4, seed=seed)
-        on, off = _pair(budget=60, restarts=2, seed=seed)
-        assert on.sequence(inst) == off.sequence(inst)
+        resumed, fresh = _pair(budget=60, restarts=2, seed=seed)
+        assert resumed.sequence(inst) == fresh.sequence(inst)
         for key in ("initial", "best", "evaluations", "accepted",
                     "rejected", "cache_hits", "kernel_runs"):
-            assert on.last_stats[key] == off.last_stats[key], key
-        assert on.last_stats["prefix_hits"] > 0
-        assert off.last_stats["prefix_hits"] == 0
+            assert resumed.last_stats[key] == fresh.last_stats[key], key
+        assert resumed.last_stats["prefix_hits"] > 0
+        assert resumed.checked == resumed.last_stats["kernel_runs"]
 
     def test_same_result_with_annotations(self):
         # Arrivals, weights and deadlines all ride in the checkpoint
         # state; a mismatch would push the trajectories apart.
         inst = _annotated()
-        on, off = _pair(
+        resumed, fresh = _pair(
             budget=80, restarts=3, seed=1, objective="weighted-flow"
         )
-        assert on.sequence(inst) == off.sequence(inst)
-        assert on.last_stats["best"] == off.last_stats["best"]
-        assert on.last_stats["prefix_hits"] > 0
+        assert resumed.sequence(inst) == fresh.sequence(inst)
+        assert resumed.last_stats["best"] == fresh.last_stats["best"]
+        assert resumed.last_stats["prefix_hits"] > 0
+        assert resumed.checked > 0
 
     def test_multi_resource_instances(self):
         inst = multi_resource_instance(3, 5, 2, seed=11)
-        on, off = _pair(budget=40, restarts=2, seed=4)
-        assert on.sequence(inst) == off.sequence(inst)
-        assert on.last_stats["best"] == off.last_stats["best"]
+        resumed, fresh = _pair(budget=40, restarts=2, seed=4)
+        assert resumed.sequence(inst) == fresh.sequence(inst)
+        assert resumed.last_stats["best"] == fresh.last_stats["best"]
+        assert resumed.checked > 0
 
     def test_accounting_identity_still_holds(self):
         # Promotion re-runs are bookkeeping, not evaluations: the
         # pinned identity cache_hits + kernel_runs == evaluations
         # survives with the cache active.
         inst = bag_instance(2, 2, seed=0)
-        seq = LocalSearchSequencer(budget=60, seed=0, prefix_cache=True)
+        seq = LocalSearchSequencer(budget=60, seed=0)
         seq.sequence(inst)
         stats = seq.last_stats
         assert (
@@ -81,6 +108,8 @@ class TestTrajectoryIdentity:
 
 
 class TestActivation:
+    """Resume is chosen by the search's own configuration."""
+
     def test_auto_enables_on_the_sequential_vector_path(self):
         seq = LocalSearchSequencer(budget=40, seed=0)
         seq.sequence(bag_instance(3, 3, seed=5))
@@ -95,21 +124,6 @@ class TestActivation:
         seq = LocalSearchSequencer(budget=24, seed=0, batch_lanes=4)
         seq.sequence(bag_instance(3, 3, seed=5))
         assert seq.last_stats["prefix_hits"] == 0
-
-    def test_forcing_on_with_exact_backend_raises(self):
-        seq = LocalSearchSequencer(backend="exact", prefix_cache=True)
-        with pytest.raises(SequencingError, match="non-vector backend"):
-            seq.sequence(bag_instance(2, 2, seed=0))
-
-    def test_forcing_on_with_batch_lanes_raises(self):
-        seq = LocalSearchSequencer(batch_lanes=2, prefix_cache=True)
-        with pytest.raises(SequencingError, match="batch_lanes"):
-            seq.sequence(bag_instance(2, 2, seed=0))
-
-    def test_forcing_on_with_compiled_on_raises(self):
-        seq = LocalSearchSequencer(compiled="on", prefix_cache=True)
-        with pytest.raises(SequencingError, match="compiled"):
-            seq.sequence(bag_instance(2, 2, seed=0))
 
 
 class TestResumeBounds:
@@ -136,7 +150,7 @@ class TestTelemetry:
     def test_prefix_hits_counter_is_recorded(self):
         session = TelemetrySession(tracing=False)
         with use_session(session):
-            seq = LocalSearchSequencer(budget=40, seed=0, prefix_cache=True)
+            seq = LocalSearchSequencer(budget=40, seed=0)
             seq.sequence(bag_instance(3, 3, seed=5))
         value = session.metrics.counter("sequencer.prefix_hits").value
         assert value == seq.last_stats["prefix_hits"] > 0

@@ -13,7 +13,6 @@ from repro.telemetry import (
     load_chrome_trace,
     read_jsonl,
     render_metrics,
-    run_trace_records,
     write_chrome_trace,
     write_jsonl,
     write_trace,
@@ -110,27 +109,6 @@ class TestWriteTrace:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="unknown trace format"):
             write_trace([], tmp_path / "t", format="xml")
-
-
-class TestLegacyBridge:
-    def test_run_trace_converts_to_records(self):
-        from repro.generators.workloads import Phase, TaskSpec
-        from repro.simulation import run_workload
-
-        tasks = [
-            TaskSpec("stream", [Phase("1/2", 2)]),
-            TaskSpec("burst", [Phase("1/10", 1), Phase("9/10", 1)]),
-        ]
-        trace = run_workload(tasks, "greedy-balance", unit_split=True)
-        records = run_trace_records(trace)
-        assert records[0].name == "engine.run"
-        assert records[0].attrs["makespan"] == trace.makespan
-        steps = [r for r in records if r.name == "engine.step"]
-        assert len(steps) == trace.makespan
-        assert all(r.parent_id == records[0].span_id for r in steps)
-        # And the converted records flow through the exporters.
-        doc = chrome_trace(records)
-        assert len(doc["traceEvents"]) == 1 + trace.makespan
 
 
 def test_render_metrics_matches_to_text():

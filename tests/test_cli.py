@@ -51,7 +51,7 @@ class TestSolve:
 
 class TestSchedule:
     def test_default_policy(self, instance_file, capsys):
-        assert main(["schedule", str(instance_file)]) == 0
+        assert main(["run", str(instance_file)]) == 0
         out = capsys.readouterr().out
         assert "makespan" in out
         assert "metrics" in out
@@ -62,7 +62,7 @@ class TestSchedule:
         assert (
             main(
                 [
-                    "schedule",
+                    "run",
                     str(instance_file),
                     "--policy",
                     "round-robin",
@@ -79,14 +79,29 @@ class TestSchedule:
         assert data["format"] == "crsharing-schedule"
 
 
-class TestRunAliasAndArrivals:
-    def test_run_is_an_alias_of_schedule(self, instance_file, capsys):
-        assert main(["run", str(instance_file)]) == 0
-        run_out = capsys.readouterr().out
-        assert main(["schedule", str(instance_file)]) == 0
-        sched_out = capsys.readouterr().out
-        assert run_out == sched_out
-        assert "makespan" in run_out
+class TestRunArrivals:
+    def test_schedule_alias_is_gone(self, instance_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["schedule", str(instance_file)])
+        assert "invalid choice: 'schedule'" in capsys.readouterr().err
+
+    def test_help_lists_no_schedule_command(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        (sub,) = [
+            action
+            for action in parser._actions
+            if action.dest == "command"
+        ]
+        assert "schedule" not in sub.choices
+        assert "run" in sub.choices
+
+    @pytest.mark.parametrize("command", ["run", "batch", "crosscheck"])
+    def test_help_lists_no_compiled_option(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--compiled" not in capsys.readouterr().out
 
     def test_run_with_arrivals_exact(self, instance_file, capsys):
         assert (
@@ -286,7 +301,7 @@ class TestMultiResourceFlags:
 class TestVerify:
     def test_valid_schedule(self, instance_file, tmp_path, capsys):
         js = tmp_path / "sched.json"
-        main(["schedule", str(instance_file), "--json", str(js)])
+        main(["run", str(instance_file), "--json", str(js)])
         capsys.readouterr()
         assert main(["verify", str(js)]) == 0
         out = capsys.readouterr().out
@@ -295,13 +310,16 @@ class TestVerify:
 
     def test_corrupted_schedule(self, instance_file, tmp_path, capsys):
         js = tmp_path / "sched.json"
-        main(["schedule", str(instance_file), "--json", str(js)])
+        main(["run", str(instance_file), "--json", str(js)])
+        capsys.readouterr()
         data = json.loads(js.read_text())
         data["shares"] = data["shares"][:-1]
         js.write_text(json.dumps(data))
-        # Loading re-validates; the CLI surfaces the failure.
-        with pytest.raises(Exception):
-            main(["verify", str(js)])
+        # Loading re-validates; the CLI reports the failure in one line.
+        assert main(["verify", str(js)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestCertify:
@@ -586,6 +604,21 @@ class TestBadInputFiles:
         log = tmp_path / "events.jsonl"
         log.write_text("garbage\n")
         self._fails(["replay", str(log)], capsys, "unparseable JSON")
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "certify", "profile"])
+    def test_missing_file(self, command, tmp_path, capsys):
+        self._fails([command, str(tmp_path / "nope.json")], capsys, "cannot read")
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "certify", "profile"])
+    def test_non_json_file(self, command, tmp_path, capsys):
+        path = tmp_path / "not-json.json"
+        path.write_text("not json at all")
+        self._fails([command, str(path)], capsys, "is not JSON")
+
+    def test_verify_on_json_that_is_not_a_schedule(self, tmp_path, capsys):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps([1, 2, 3]))
+        self._fails(["verify", str(path)], capsys, "not a schedule document")
 
 
 class TestServeAndReplay:

@@ -20,7 +20,6 @@ from repro.core import SchedulingGraph, make_nice
 from repro.core.properties import is_nice
 from repro.generators import make_io_workload, tasks_to_instance
 from repro.io import load_schedule, save_schedule
-from repro.simulation import run_workload
 from repro.viz import render_components, render_schedule, schedule_svg
 
 
@@ -61,9 +60,9 @@ class TestPipeline:
             == schedules["greedy-balance"].makespan
         )
 
-    def test_engine_agrees_with_simulator(self, tasks, schedules):
-        trace = run_workload(tasks, GreedyBalance(), unit_split=True)
-        assert trace.makespan == schedules["greedy-balance"].makespan
+    def test_activity_run_agrees_with_simulator(self, tasks, schedules, run_tasks):
+        makespan, _ = run_tasks(tasks, GreedyBalance())
+        assert makespan == schedules["greedy-balance"].makespan
 
     def test_serialization_survives(self, tmp_path, schedules):
         for name, sched in schedules.items():
