@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator
 
 from ..exceptions import UnitSizeRequiredError
 from .job import JobId
 from .schedule import Schedule
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import networkx as nx
 
 __all__ = ["Component", "SchedulingGraph", "build_scheduling_graph"]
 
@@ -238,6 +239,8 @@ class SchedulingGraph:
         connectivity, so ``nx.connected_components`` agrees with
         :attr:`components`.
         """
+        import networkx as nx  # lazy: ~150 ms of import time
+
         g = nx.Graph()
         for (jid, job) in self.schedule.instance.jobs():
             g.add_node(jid, weight=job.requirement, component=self._component_of[jid])

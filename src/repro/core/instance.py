@@ -349,42 +349,27 @@ class Instance:
 
     def with_weights(self, weights: Sequence[Sequence[Num]]) -> "Instance":
         """A copy with per-job objective weights (queue-shaped input)."""
-        if len(weights) != self.num_processors:
-            raise InvalidInstanceError(
-                f"weights has {len(weights)} rows for "
-                f"{self.num_processors} processors"
-            )
-        queues = []
-        for i, queue in enumerate(self._queues):
-            if len(weights[i]) != len(queue):
-                raise InvalidInstanceError(
-                    f"weights[{i}] has {len(weights[i])} entries for "
-                    f"{len(queue)} jobs"
-                )
-            queues.append(
-                [job.replace(weight=w) for job, w in zip(queue, weights[i])]
-            )
-        return Instance(queues, releases=self._releases)
+        return self._annotated("weights", weights, "weight")
 
     def with_deadlines(
         self, deadlines: Sequence[Sequence[int | None]]
     ) -> "Instance":
         """A copy with per-job due steps (queue-shaped; ``None`` clears)."""
-        if len(deadlines) != self.num_processors:
+        return self._annotated("deadlines", deadlines, "deadline")
+
+    def _annotated(self, name: str, rows: Sequence[Sequence], field: str) -> "Instance":
+        """A copy with each job's *field* replaced from queue-shaped *rows*."""
+        if len(rows) != self.num_processors:
             raise InvalidInstanceError(
-                f"deadlines has {len(deadlines)} rows for "
-                f"{self.num_processors} processors"
+                f"{name} has {len(rows)} rows for {self.num_processors} processors"
             )
         queues = []
         for i, queue in enumerate(self._queues):
-            if len(deadlines[i]) != len(queue):
+            if len(rows[i]) != len(queue):
                 raise InvalidInstanceError(
-                    f"deadlines[{i}] has {len(deadlines[i])} entries for "
-                    f"{len(queue)} jobs"
+                    f"{name}[{i}] has {len(rows[i])} entries for {len(queue)} jobs"
                 )
-            queues.append(
-                [job.replace(deadline=d) for job, d in zip(queue, deadlines[i])]
-            )
+            queues.append([job.replace(**{field: v}) for job, v in zip(queue, rows[i])])
         return Instance(queues, releases=self._releases)
 
     def earliest_completion_times(self) -> dict[JobId, int]:

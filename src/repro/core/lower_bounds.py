@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .hypergraph import SchedulingGraph
 from .instance import Instance
-from .numerics import frac_ceil
+from .numerics import FracFold, frac_ceil
 from .schedule import Schedule
 
 __all__ = [
@@ -129,10 +129,10 @@ def weighted_flow_bound(instance: Instance) -> Fraction:
     degenerates to ``sum_i n_i (n_i + 1) / 2`` for unit jobs.
     """
     earliest = instance.earliest_completion_times()
-    total = Fraction(0)
-    for jid, job in instance.jobs():
-        total += job.weight * (earliest[jid] - instance.release(jid[0]))
-    return total
+    return FracFold(
+        (job.weight, earliest[jid] - instance.release(jid[0]))
+        for jid, job in instance.jobs()
+    ).value()
 
 
 def tardiness_bound(instance: Instance) -> Fraction:
@@ -144,11 +144,11 @@ def tardiness_bound(instance: Instance) -> Fraction:
     (the usual case -- contention can still force lateness above it).
     """
     earliest = instance.earliest_completion_times()
-    total = Fraction(0)
-    for jid, job in instance.jobs():
-        if job.deadline is not None and earliest[jid] > job.deadline:
-            total += job.weight * (earliest[jid] - job.deadline)
-    return total
+    return FracFold(
+        (job.weight, earliest[jid] - job.deadline)
+        for jid, job in instance.jobs()
+        if job.deadline is not None and earliest[jid] > job.deadline
+    ).value()
 
 
 def max_lateness_bound(instance: Instance) -> int:

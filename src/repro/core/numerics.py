@@ -41,6 +41,7 @@ __all__ = [
     "frac_ceil",
     "frac_floor",
     "frac_sum",
+    "FracFold",
     "common_denominator",
     "quantize",
     "as_float",
@@ -116,10 +117,35 @@ def frac_floor(x: Num) -> int:
 
 def frac_sum(values: Iterable[Num]) -> Fraction:
     """Exact sum of an iterable of numbers (empty sum is 0)."""
-    total = ZERO
-    for v in values:
-        total += to_frac(v)
-    return total
+    return FracFold((to_frac(v), 1) for v in values).value()
+
+
+class FracFold:
+    """Exact sum of ``weight * k`` terms (rational weight, integer ``k``).
+
+    Keeps one integer numerator sum per weight denominator, so :meth:`add`
+    does no ``Fraction`` arithmetic; :meth:`value` normalises once.
+    """
+
+    __slots__ = ("_sums",)
+
+    def __init__(self, terms: Iterable[tuple[Fraction, int]] = ()) -> None:
+        self._sums: dict[int, int] = {}
+        for weight, k in terms:
+            self.add(weight, k)
+
+    def add(self, weight: Fraction, k: int) -> None:
+        """Fold in ``weight * k``."""
+        sums = self._sums
+        den = weight.denominator
+        sums[den] = sums.get(den, 0) + weight.numerator * k
+
+    def value(self) -> Fraction:
+        """The exact, normalised sum (``Fraction(0)`` when empty)."""
+        lcd = math.lcm(*self._sums)
+        return Fraction(
+            int(sum(num * (lcd // den) for den, num in self._sums.items())), lcd
+        )
 
 
 def common_denominator(values: Iterable[Num]) -> int:

@@ -160,14 +160,6 @@ class ExecState:
             return ZERO
         return self.remaining[processor]
 
-    def remaining_requirement(self, processor: int) -> Fraction:
-        """The paper's *remaining resource requirement* of the active job.
-
-        For unit-size jobs this equals :meth:`remaining_work`; kept as
-        a separate name so policy code reads like the paper.
-        """
-        return self.remaining_work(processor)
-
     @property
     def all_done(self) -> bool:
         """True iff every job on every processor has finished.

@@ -41,13 +41,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import wraps
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.schedule import Schedule
-from ..exceptions import InputFormatError
+from ..exceptions import InputFormatError, ReproError
 
 __all__ = [
     "instance_to_dict",
@@ -72,6 +73,36 @@ _VERSION_MULTI = 2
 _VERSION_OBJECTIVE = 3
 
 
+def _typed(kind: str) -> Callable[[Callable], Callable]:
+    """Make a *kind* decoder raise :class:`InputFormatError` on malformed input.
+
+    Model violations keep their own :class:`~repro.exceptions.ReproError`.
+    """
+    article = "an" if kind[0] in "aeiou" else "a"
+
+    def decorate(decode: Callable) -> Callable:
+        @wraps(decode)
+        def typed(data: Any):
+            if not isinstance(data, dict):
+                top = type(data).__name__
+                raise InputFormatError(f"not {article} {kind} document (got type {top})")
+            invalid = f"not a valid {kind} document"
+            try:
+                return decode(data)
+            except ReproError:
+                raise
+            except KeyError as exc:
+                raise InputFormatError(f"{invalid}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise InputFormatError(f"{invalid}: {exc}") from exc
+            except ArithmeticError as exc:  # "1/0", an infinite float
+                raise InputFormatError(f"{invalid}: {exc!r}") from exc
+
+        return typed
+
+    return decorate
+
+
 def _frac_out(x: Fraction) -> str | int:
     if x.denominator == 1:
         return int(x)
@@ -81,9 +112,7 @@ def _frac_out(x: Fraction) -> str | int:
 def _frac_in(x: str | int | float) -> Fraction:
     if isinstance(x, bool):
         raise ValueError("booleans are not valid rationals")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise ValueError(f"expected int or 'p/q' string, got {x!r}")
 
@@ -100,7 +129,15 @@ def _requirement_in(value: Any) -> Any:
     return _frac_in(value)
 
 
-def _job_out(job: Job) -> dict[str, Any]:
+def job_to_dict(job: Job) -> dict[str, Any]:
+    """Lossless dict form of a single job (the per-job instance schema).
+
+    Keys: ``r`` (requirement, ``"p/q"`` string or list for ``k > 1``),
+    ``p`` (processing volume), and the optional objective annotations
+    ``w`` (weight) / ``d`` (deadline), omitted at their defaults.  Used
+    standalone by the service layer's streaming trace format
+    (:mod:`repro.service.events`).
+    """
     doc: dict[str, Any] = {
         "r": _requirement_out(job),
         "p": _frac_out(job.size),
@@ -112,30 +149,19 @@ def _job_out(job: Job) -> dict[str, Any]:
     return doc
 
 
-def job_to_dict(job: Job) -> dict[str, Any]:
-    """Lossless dict form of a single job (the per-job instance schema).
-
-    Keys: ``r`` (requirement, ``"p/q"`` string or list for ``k > 1``),
-    ``p`` (processing volume), and the optional objective annotations
-    ``w`` (weight) / ``d`` (deadline), omitted at their defaults.  Used
-    standalone by the service layer's streaming trace format
-    (:mod:`repro.service.events`).
-    """
-    return _job_out(job)
-
-
+@_typed("job")
 def job_from_dict(doc: dict[str, Any]) -> Job:
     """Inverse of :func:`job_to_dict`.
 
     Raises:
-        ValueError: on a malformed document (missing/invalid keys).
+        InputFormatError: on a malformed document (missing/invalid keys).
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"job document must be a dict, got {type(doc).__name__}")
-    try:
-        return _job_in(doc)
-    except KeyError as exc:
-        raise ValueError(f"job document missing key {exc}") from exc
+    return Job(
+        _requirement_in(doc["r"]),
+        _frac_in(doc["p"]),
+        weight=_frac_in(doc.get("w", 1)),
+        deadline=doc.get("d"),
+    )
 
 
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
@@ -160,7 +186,7 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
         "format": _INSTANCE_FORMAT,
         "version": version,
         "processors": [
-            [_job_out(job) for job in queue] for queue in instance.queues
+            [job_to_dict(job) for job in queue] for queue in instance.queues
         ],
     }
     if multi:
@@ -170,23 +196,12 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
     return data
 
 
-def _job_in(doc: dict[str, Any]) -> Job:
-    deadline = doc.get("d")
-    if deadline is not None:
-        deadline = int(deadline)
-    return Job(
-        _requirement_in(doc["r"]),
-        _frac_in(doc["p"]),
-        weight=_frac_in(doc.get("w", 1)),
-        deadline=deadline,
-    )
-
-
+@_typed("instance")
 def instance_from_dict(data: dict[str, Any]) -> Instance:
     """Inverse of :func:`instance_to_dict` (accepts versions 1, 2, 3).
 
     Raises:
-        ValueError: on schema mismatch, including a ``resources``
+        InputFormatError: on schema mismatch, including a ``resources``
             count that contradicts the job requirement vectors.
     """
     if data.get("format") != _INSTANCE_FORMAT:
@@ -194,7 +209,7 @@ def instance_from_dict(data: dict[str, Any]) -> Instance:
     if data.get("version") not in (_VERSION, _VERSION_MULTI, _VERSION_OBJECTIVE):
         raise ValueError(f"unsupported version {data.get('version')!r}")
     instance = Instance(
-        [[_job_in(job) for job in queue] for queue in data["processors"]],
+        [[job_from_dict(job) for job in queue] for queue in data["processors"]],
         releases=data.get("releases"),
     )
     declared = data.get("resources")
@@ -218,6 +233,7 @@ def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
     }
 
 
+@_typed("schedule")
 def schedule_from_dict(data: dict[str, Any]) -> Schedule:
     """Inverse of :func:`schedule_to_dict` (re-validates on load)."""
     if data.get("format") != _SCHEDULE_FORMAT:
@@ -233,15 +249,15 @@ def save_instance(instance: Instance, path: str | Path) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(instance), indent=2))
 
 
-def _load_document(path: str | Path, kind: str, from_dict):
-    """Read, parse and decode one JSON document of the given *kind*.
+def _load_document(path: str | Path, from_dict):
+    """Read, parse and decode one JSON document with *from_dict*.
 
     The one read-and-parse step behind :func:`load_instance` and
     :func:`load_schedule`.
 
     Raises:
         InputFormatError: the file cannot be read, is not JSON, or is
-            not a valid *kind* document.
+            not a document *from_dict* accepts.
     """
     try:
         text = Path(path).read_text()
@@ -251,21 +267,10 @@ def _load_document(path: str | Path, kind: str, from_dict):
         data = json.loads(text)
     except ValueError as exc:
         raise InputFormatError(f"{path} is not JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputFormatError(
-            f"{path} is not a {kind} document (top level is a "
-            f"{type(data).__name__})"
-        )
     try:
         return from_dict(data)
-    except KeyError as exc:
-        raise InputFormatError(
-            f"{path} is not a valid {kind} document: missing key {exc}"
-        ) from exc
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(
-            f"{path} is not a valid {kind} document: {exc}"
-        ) from exc
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def load_instance(path: str | Path) -> Instance:
@@ -275,7 +280,7 @@ def load_instance(path: str | Path) -> Instance:
         InputFormatError: the file cannot be read, is not JSON, or is
             not a valid instance document.
     """
-    return _load_document(path, "instance", instance_from_dict)
+    return _load_document(path, instance_from_dict)
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
@@ -289,4 +294,4 @@ def load_schedule(path: str | Path) -> Schedule:
         InputFormatError: the file cannot be read, is not JSON, or is
             not a valid schedule document.
     """
-    return _load_document(path, "schedule", schedule_from_dict)
+    return _load_document(path, schedule_from_dict)

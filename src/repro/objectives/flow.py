@@ -22,6 +22,7 @@ from fractions import Fraction
 from ..core.instance import Instance
 from ..core.job import JobId
 from ..core.lower_bounds import weighted_flow_bound
+from ..core.numerics import FracFold
 from .base import Objective, ObjectiveAccumulator, register_objective
 
 __all__ = ["WeightedFlowTime"]
@@ -30,20 +31,21 @@ __all__ = ["WeightedFlowTime"]
 class _FlowAccumulator(ObjectiveAccumulator):
     """Sum ``w * (C - release)`` over the completion stream."""
 
-    __slots__ = ("_weights", "_releases", "total")
+    __slots__ = ("_queues", "_releases", "_fold")
 
     def __init__(self, instance: Instance) -> None:
-        self._weights = {jid: job.weight for jid, job in instance.jobs()}
+        self._queues = instance.queues
         self._releases = instance.releases
-        self.total = Fraction(0)
+        self._fold = FracFold()
 
     def complete(self, job: JobId, t: int) -> None:
         """Add the job's weighted flow (1-based completion - release)."""
-        self.total += self._weights[job] * (t + 1 - self._releases[job[0]])
+        i, j = job
+        self._fold.add(self._queues[i][j].weight, t + 1 - self._releases[i])
 
     def finish(self, makespan: int) -> Fraction:
         """The accumulated weighted flow time."""
-        return self.total
+        return self._fold.value()
 
 
 @register_objective

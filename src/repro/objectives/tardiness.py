@@ -29,11 +29,10 @@ for it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..core.instance import Instance
 from ..core.job import JobId
 from ..core.lower_bounds import max_lateness_bound, tardiness_bound
+from ..core.numerics import FracFold
 from .base import Objective, ObjectiveAccumulator, register_objective
 
 __all__ = ["Tardiness", "TARDINESS_MODES"]
@@ -51,33 +50,32 @@ _MODE_NAMES = {
 class _TardinessAccumulator(ObjectiveAccumulator):
     """Accumulate lateness statistics over the completion stream."""
 
-    __slots__ = ("_jobs", "mode", "total", "max_lateness", "misses")
+    __slots__ = ("_queues", "mode", "_fold", "max_lateness", "misses")
 
     def __init__(self, instance: Instance, mode: str) -> None:
-        self._jobs = {
-            jid: (job.deadline, job.weight) for jid, job in instance.jobs()
-        }
+        self._queues = instance.queues
         self.mode = mode
-        self.total = Fraction(0)
+        self._fold = FracFold()
         self.max_lateness: int | None = None
         self.misses = 0
 
     def complete(self, job: JobId, t: int) -> None:
         """Fold one completion into tardiness/lateness/miss totals."""
-        deadline, weight = self._jobs[job]
-        if deadline is None:
+        i, j = job
+        spec = self._queues[i][j]
+        if spec.deadline is None:
             return
-        lateness = t + 1 - deadline
+        lateness = t + 1 - spec.deadline
         if self.max_lateness is None or lateness > self.max_lateness:
             self.max_lateness = lateness
         if lateness > 0:
-            self.total += weight * lateness
+            self._fold.add(spec.weight, lateness)
             self.misses += 1
 
     def finish(self, makespan: int):
         """The aggregate selected by the mode (0 without deadlines)."""
         if self.mode == "total":
-            return self.total
+            return self._fold.value()
         if self.mode == "max-lateness":
             return 0 if self.max_lateness is None else self.max_lateness
         return self.misses

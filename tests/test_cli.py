@@ -595,6 +595,38 @@ class TestBadInputFiles:
     def test_run_on_missing_file(self, tmp_path, capsys):
         self._fails(["run", str(tmp_path / "nope.json")], capsys, "cannot read")
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('[["a job"]]', "not a job document (got type str)"),
+            ("[[7]]", "not a job document (got type int)"),
+            ('[[{"r": "1/0", "p": 1}]]', "ZeroDivisionError"),
+            ('[[{"r": "1/2", "p": 1, "d": Infinity}]]', "OverflowError"),
+            ('[[{"r": "1/2", "p": 1, "d": NaN}]]', "not a valid job document"),
+        ],
+    )
+    def test_run_on_malformed_jobs(self, text, expected, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(
+            '{"format": "crsharing-instance", "version": 3, "processors": '
+            + text
+            + "}"
+        )
+        self._fails(["run", str(path)], capsys, expected)
+
+    def test_run_on_infinite_release(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(
+            '{"format": "crsharing-instance", "version": 1, '
+            '"processors": [[{"r": "1/2", "p": 1}]], "releases": [Infinity]}'
+        )
+        self._fails(["run", str(path)], capsys, "OverflowError")
+
+    def test_run_on_json_list_names_the_kind(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text("[1, 2]")
+        self._fails(["run", str(path)], capsys, "not an instance document")
+
     def test_serve_on_trace_record_without_job(self, tmp_path, capsys):
         trace = tmp_path / "arrivals.jsonl"
         trace.write_text('{"t": 0}\n')

@@ -1,4 +1,8 @@
-"""``import repro`` stays lean: scipy loads only when the MILP oracle runs."""
+"""``import repro`` stays lean: heavy optional packages load only on use.
+
+scipy loads only when the MILP oracle runs; networkx only when a
+scheduling hypergraph is exported with ``to_networkx()``.
+"""
 
 import os
 import subprocess
@@ -8,7 +12,8 @@ from pathlib import Path
 import repro
 
 
-def test_import_repro_leaves_scipy_unloaded():
+def _loaded_after_import(package: str) -> str:
+    """Sorted names of *package*'s modules loaded by ``import repro, repro.cli``."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -16,7 +21,7 @@ def test_import_repro_leaves_scipy_unloaded():
     )
     code = (
         "import sys, repro, repro.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -25,4 +30,13 @@ def test_import_repro_leaves_scipy_unloaded():
         check=True,
         env=env,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_repro_leaves_scipy_unloaded():
+    assert _loaded_after_import("scipy") == "[]"
+
+
+def test_import_repro_leaves_networkx_unloaded():
+    assert _loaded_after_import("networkx") == "[]"
+
