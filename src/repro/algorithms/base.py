@@ -38,14 +38,11 @@ from ..exceptions import UnknownPolicyError, VectorizationUnsupportedError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..backends.base import BackendResult
     from ..backends.batched import BatchVectorState
-    from ..backends.vector import VectorState
 
 __all__ = [
     "Policy",
     "water_fill",
     "water_fill_multi",
-    "water_fill_array",
-    "water_fill_array_multi",
     "water_fill_array_batch",
     "sort_key",
     "register_policy",
@@ -80,54 +77,36 @@ class Policy:
         """Return the per-processor share vector for the current step."""
         raise NotImplementedError
 
-    def shares_array(self, state: "VectorState") -> np.ndarray:
-        """Vectorized variant of :meth:`shares` for the float backend.
+    def shares_batch(self, state: "BatchVectorState") -> np.ndarray:
+        """Array variant of :meth:`shares` for the float64 runtimes.
 
-        Receives a :class:`repro.backends.vector.VectorState` (NumPy
-        float64 view of the execution state) and returns one float64
-        share per processor.  Must implement the *same* rule as
-        :meth:`shares` so the backends agree; the cross-validation
-        suite enforces agreement within tolerance.  The returned array
-        must be freshly allocated (never a view of the state's arrays):
-        the kernel records it as the step's share row.
+        Receives a :class:`repro.backends.batched.BatchVectorState`
+        (``B`` padded instance lanes as ``(B, m)`` / ``(B, k, m)``
+        float64 arrays; the vector backend passes a one-lane state)
+        and returns one share row per lane -- ``(B, m)`` for
+        single-resource states, ``(B, k, m)`` otherwise.  Must
+        implement the *same* rule as :meth:`shares` lane by lane; the
+        crosscheck suites enforce agreement within the backend
+        tolerance.  Lanes that have finished (all remaining work zero)
+        must receive all-zero rows.  The returned array must be
+        freshly allocated (never a view of the state's arrays): the
+        kernel records it as the step's share row.
 
-        The default raises -- policies without a vectorized path can
-        only run on the exact backend.
+        The default raises -- policies without an array path can only
+        run on the exact backend.
         """
         raise VectorizationUnsupportedError(
-            f"policy {self.name!r} has no vectorized shares_array path; "
+            f"policy {self.name!r} has no array shares_batch path; "
             "run it on the exact backend"
         )
 
     @property
-    def supports_vector(self) -> bool:
-        """True iff this policy overrides :meth:`shares_array`."""
-        return type(self).shares_array is not Policy.shares_array
-
-    def shares_batch(self, state: "BatchVectorState") -> np.ndarray:
-        """Batched variant of :meth:`shares_array` for the batch engine.
-
-        Receives a :class:`repro.backends.batched.BatchVectorState`
-        (``B`` padded instance lanes as ``(B, m)`` / ``(B, k, m)``
-        float64 arrays) and returns one share row per lane -- ``(B, m)``
-        for single-resource batches, ``(B, k, m)`` otherwise.  Must
-        implement the *same* rule as :meth:`shares_array` applied lane
-        by lane; the crosscheck suite enforces agreement within the
-        backend tolerance.  Lanes that have finished (all remaining
-        work zero) must receive all-zero rows.
-
-        The default raises -- the batch engine then falls back to
-        stepping such policies lane by lane through their
-        :meth:`shares_array` path (correct, but without the batched
-        speedup).
-        """
-        raise VectorizationUnsupportedError(
-            f"policy {self.name!r} has no batched shares_batch path"
-        )
-
-    @property
     def supports_batch(self) -> bool:
-        """True iff this policy overrides :meth:`shares_batch`."""
+        """True iff this policy overrides :meth:`shares_batch`.
+
+        The one array capability flag: the vector backend, the batch
+        engine and batched local search all require it.
+        """
         return type(self).shares_batch is not Policy.shares_batch
 
     def __call__(self, state: ExecState) -> Sequence[Fraction]:
@@ -256,39 +235,7 @@ def sort_key(values: np.ndarray, *, decimals: int = 9) -> np.ndarray:
     a requirement grid coarser than ``10**-decimals`` sort identically
     to exact arithmetic.
     """
-    return np.round(values, decimals)
-
-
-def water_fill_array(
-    state: "VectorState",
-    order: np.ndarray,
-    *,
-    capacity: float = 1.0,
-) -> np.ndarray:
-    """Vectorized :func:`water_fill` over a float64 state.
-
-    *order* is an array of processor indices in priority order (it may
-    include inactive processors -- their useful share is zero, so they
-    neither receive nor consume capacity).  The grant rule is identical
-    to the exact path: each processor gets
-    ``min(remaining_work, requirement, capacity_left)``, realized as a
-    prefix-sum followed by a clip, so the whole fill is O(m) NumPy work
-    with no Python loop.
-
-    Multi-resource states dispatch to :func:`water_fill_array_multi`
-    and return a ``(k, m)`` share matrix instead of a flat vector.
-    """
-    if state.num_resources != 1:
-        return water_fill_array_multi(state, order, capacity=capacity)
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
-    useful = np.minimum(state.remaining, state.active_requirements)
-    u = useful[order]
-    taken_before = np.cumsum(u) - u
-    grants = np.clip(capacity - taken_before, 0.0, u)
-    shares = np.zeros(state.num_processors, dtype=np.float64)
-    shares[order] = grants
-    return shares
+    return values.round(decimals)
 
 
 #: Slack absorbing float rounding when deciding whether a prefix of
@@ -298,94 +245,6 @@ def water_fill_array(
 _FILL_EPS = 1e-15
 
 
-def water_fill_array_multi(
-    state: "VectorState",
-    order: np.ndarray,
-    *,
-    capacity: float = 1.0,
-) -> np.ndarray:
-    """Vectorized :func:`water_fill_multi` over a ``(k, m)`` state.
-
-    Implements the same sequential grant rule as the exact path --
-    each processor in *order* gets speed fraction
-    ``min(1, remaining / r*, min_l left_l / r_l)`` -- in depletion
-    *rounds*: optimistically cumsum full grants along the order, find
-    the first processor whose grant would over-commit some resource,
-    grant everything before it in one shot plus a partial grant there,
-    then continue with the survivors.  Each round retires at least one
-    processor, and in the common case one round grants everyone, so
-    the fill stays NumPy-vectorized.
-    """
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
-    return _fill_arrays_multi(
-        state.remaining,
-        state.active_requirements,
-        state.active_req_matrix,
-        np.asarray(order, dtype=np.int64),
-        float(capacity),
-    )
-
-
-def _fill_arrays_multi(
-    remaining: np.ndarray,
-    rstar: np.ndarray,
-    req_matrix: np.ndarray,
-    order: np.ndarray,
-    capacity: float,
-) -> np.ndarray:
-    """Array-level core of :func:`water_fill_array_multi`.
-
-    Shared by the single-lane fill and the batch engine's per-lane
-    ``k > 1`` path, so both produce bit-identical grants.
-    """
-    k, m = req_matrix.shape
-    shares = np.zeros((k, m), dtype=np.float64)
-    fraction_cap = np.zeros(m, dtype=np.float64)
-    positive = rstar > 0.0
-    fraction_cap[positive] = np.minimum(
-        1.0, remaining[positive] / rstar[positive]
-    )
-    left = np.full(k, capacity, dtype=np.float64)
-    pending = order[fraction_cap[order] > 0.0]
-    while pending.size:
-        fc = fraction_cap[pending]
-        consume = fc[None, :] * req_matrix[:, pending]  # (k, p) full grants
-        over = (
-            np.cumsum(consume, axis=1) > left[:, None] + _FILL_EPS
-        ).any(axis=0)
-        if not over.any():
-            shares[:, pending] = consume
-            break
-        first = int(np.argmax(over))
-        fully = pending[:first]
-        if fully.size:
-            grants = consume[:, :first]
-            shares[:, fully] = grants
-            left -= grants.sum(axis=1)
-        # Partial grant at the first over-committing processor: the
-        # binding resource caps its speed fraction.
-        i = int(pending[first])
-        needs = req_matrix[:, i]
-        needed = needs > 0.0
-        fraction = min(
-            float(fraction_cap[i]), float((left[needed] / needs[needed]).min())
-        )
-        if fraction > 0.0:
-            grant = fraction * needs
-            shares[:, i] = grant
-            left -= grant
-        np.maximum(left, 0.0, out=left)
-        pending = pending[first + 1 :]
-        if pending.size:
-            # Retire processors whose needed resources are exhausted.
-            blocked = (
-                (req_matrix[:, pending] > 0.0) & (left[:, None] <= _FILL_EPS)
-            ).any(axis=0)
-            pending = pending[~blocked]
-    return shares
-
-
 def water_fill_array_batch(
     state: "BatchVectorState",
     order: np.ndarray,
@@ -393,23 +252,23 @@ def water_fill_array_batch(
     eligible: np.ndarray | None = None,
     capacity: float = 1.0,
 ) -> np.ndarray:
-    """Water-fill all ``B`` lanes of a batch state in one array program.
+    """Vectorized :func:`water_fill` over all ``B`` lanes of a float state.
 
     *order* is a ``(B, m)`` array of processor indices, one priority
-    permutation per lane; *eligible* optionally masks processors out of
-    the fill (a ``(B, m)`` boolean indexed by processor, **not** by
-    order position -- RoundRobin's phase restriction).  Padded and
-    inactive processors have zero useful share, so they neither
-    receive nor consume capacity; partial sums are bit-identical to
-    the per-lane :func:`water_fill_array` because interleaved exact
-    zeros never perturb a float cumsum.
+    permutation per lane (a ``(1, m)`` order is shared by every lane);
+    *eligible* optionally masks processors out of the fill (a
+    ``(B, m)`` boolean indexed by processor, **not** by order position
+    -- RoundRobin's phase restriction).  The grant rule
+    is the exact path's: each processor gets
+    ``min(remaining_work, requirement, capacity_left)``, realized as a
+    prefix sum followed by a clip, so the fill is ``O(B m)`` NumPy work
+    with no Python loop.  Padded, inactive and ineligible processors
+    have zero useful share, so they neither receive nor consume
+    capacity (interleaved exact zeros never perturb a float cumsum).
 
-    Single-resource batches (``state.num_resources == 1``) run the
-    fully vectorized prefix-sum fill.  Multi-resource batches fall
-    back to the per-lane depletion-rounds core
-    (:func:`water_fill_array_multi`'s array kernel) -- still one
-    shared grant rule, but looped over lanes -- and return a
-    ``(B, k, m)`` share tensor.
+    Multi-resource states (``state.num_resources > 1``) run the
+    bottleneck depletion rounds of :func:`water_fill_multi` and return
+    a ``(B, k, m)`` share tensor.
     """
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
@@ -417,15 +276,45 @@ def water_fill_array_batch(
         return _water_fill_batch_multi(
             state, order, eligible=eligible, capacity=capacity
         )
+    return _scalar_fill(state, order, eligible, capacity)
+
+
+def _lane_flat(order: np.ndarray, lanes: int, width: int) -> np.ndarray:
+    """*order* as ``(lanes, m)`` flat indices ``lane * width + order``.
+
+    A ``(1, m)`` *order* is shared by every lane.
+    """
+    if lanes == 1:
+        return order
+    return order + (np.arange(lanes) * width)[:, None]
+
+
+def _scalar_fill(
+    state: "BatchVectorState",
+    order: np.ndarray,
+    eligible: np.ndarray | None,
+    capacity: float,
+) -> np.ndarray:
+    """The ``(B, m)`` prefix-sum fill of :func:`water_fill_array_batch`.
+
+    Gathers and scatters go through flat indices on the raveled rows:
+    at ``B == 1`` that costs what a one-dimensional fill does, where
+    ``take_along_axis`` / ``put_along_axis`` would cost several times
+    more.
+    """
     useful = np.minimum(state.remaining, state.active_requirements)
     if eligible is not None:
         useful = np.where(eligible, useful, 0.0)
-    u = np.take_along_axis(useful, order, axis=1)
-    taken_before = np.cumsum(u, axis=1) - u
-    grants = np.clip(capacity - taken_before, 0.0, u)
-    shares = np.zeros_like(useful)
-    np.put_along_axis(shares, order, grants, axis=1)
-    return shares
+    flat = _lane_flat(order, *useful.shape)
+    u = useful.ravel()[flat]
+    left = u.cumsum(axis=1)
+    left -= u
+    np.subtract(capacity, left, out=left)
+    np.maximum(left, 0.0, out=left)
+    np.minimum(left, u, out=left)
+    shares = np.zeros(useful.size)
+    shares[flat] = left
+    return shares.reshape(useful.shape)
 
 
 def _water_fill_batch_multi(
@@ -441,8 +330,8 @@ def _water_fill_batch_multi(
     Dispatches to :func:`_fill_arrays_batch_multi` for the
     multi-resource depletion rounds and overwrites single-resource
     lanes of a mixed batch with the scalar prefix-sum rule (exactly as
-    their standalone vector run applies it), so each lane follows its
-    native grant rule.
+    a one-lane state of that instance applies it), so each lane
+    follows its native grant rule.
     """
     shares = _fill_arrays_batch_multi(
         state.remaining,
@@ -454,16 +343,7 @@ def _water_fill_batch_multi(
     )
     scalar = state.lane_num_resources == 1
     if scalar.any():
-        # Single-resource lanes: the scalar prefix-sum rule (interleaved
-        # exact zeros keep the cumsum bit-identical to a per-lane fill).
-        useful = np.minimum(state.remaining, state.active_requirements)
-        if eligible is not None:
-            useful = np.where(eligible, useful, 0.0)
-        u = np.take_along_axis(useful, order, axis=1)
-        taken_before = np.cumsum(u, axis=1) - u
-        grants = np.clip(capacity - taken_before, 0.0, u)
-        rows = np.zeros_like(useful)
-        np.put_along_axis(rows, order, grants, axis=1)
+        rows = _scalar_fill(state, order, eligible, capacity)
         shares[scalar] = 0.0
         shares[scalar, 0, :] = rows[scalar]
     return shares
@@ -477,20 +357,22 @@ def _fill_arrays_batch_multi(
     eligible: np.ndarray | None,
     capacity: float,
 ) -> np.ndarray:
-    """Batched depletion-rounds core: ``B`` lanes per round, no lane loop.
+    """Depletion-rounds core of the ``k > 1`` fill: ``B`` lanes per round.
 
-    The batch lift of :func:`_fill_arrays_multi`, working in *order
-    position* space: per round, every live lane optimistically cumsums
-    its full grants along its priority order, the first over-committing
-    position gets a partial grant (its binding resource caps the speed
-    fraction), everything before it is granted in one shot, and
-    positions whose needed resources are exhausted retire.  Inactive
-    positions contribute exact ``0.0`` terms, so the cumsums match the
-    per-lane compacted fill bit for bit; the only per-lane work left is
-    the capacity update of over-committing lanes, which sums each such
-    lane's compacted prefix exactly as the single-lane kernel does.
-    Lanes that never over-commit (the common case) finish in one fully
-    vectorized round.
+    The sequential rule of :func:`water_fill_multi` -- each processor
+    in order gets speed fraction ``min(1, remaining / r*, min_l
+    left_l / r_l)`` -- realized in *order position* space: per round,
+    every live lane optimistically cumsums its full grants along its
+    priority order, the first over-committing position gets a partial
+    grant (its binding resource caps the speed fraction), everything
+    before it is granted in one shot, and positions whose needed
+    resources are exhausted retire.  Each round retires at least one
+    position per live lane, and lanes that never over-commit (the
+    common case) finish in one fully vectorized round.  Inactive
+    positions contribute exact ``0.0`` terms to the cumsums; the only
+    per-lane work left is the capacity update of over-committing
+    lanes, which sums just the granted prefix, so a lane's grants do
+    not depend on its padding or on the other lanes of the batch.
     """
     B, k, m = req_matrix.shape
     fraction_cap = np.zeros((B, m), dtype=np.float64)
@@ -501,70 +383,57 @@ def _fill_arrays_batch_multi(
         fraction_cap = np.where(eligible, fraction_cap, 0.0)
     # Everything below runs in order-position space; one scatter at the
     # end maps grants back to processor indices.
-    fc_ord = np.take_along_axis(fraction_cap, order, axis=1)  # (B, m)
-    req_ord = np.take_along_axis(req_matrix, order[:, None, :], axis=2)
+    fc_ord = fraction_cap.ravel()[_lane_flat(order, B, m)]  # (B, m)
+    flat_k = order[:, None, :] + (np.arange(B * k) * m).reshape(B, k, 1)
+    req_ord = req_matrix.ravel()[flat_k]  # (B, k, m)
     granted_ord = np.zeros((B, k, m), dtype=np.float64)
     left = np.full((B, k), capacity, dtype=np.float64)
     active = fc_ord > 0.0  # (B, m) positions still pending
     pos = np.arange(m)
-    while True:
-        live = active.any(axis=1)
-        if not live.any():
-            break
-        consume = np.where(
-            active[:, None, :], fc_ord[:, None, :] * req_ord, 0.0
-        )
+    lanes = np.arange(B)
+    while active.any():
+        # Inactive positions request exact zeros, and a position is
+        # granted only once it leaves the active set, so adding a
+        # round's requests to the grants never perturbs earlier ones.
+        consume = np.where(active, fc_ord, 0.0)[:, None, :] * req_ord
         over_ord = (
-            np.cumsum(consume, axis=2) > left[:, :, None] + _FILL_EPS
+            consume.cumsum(axis=2) > left[:, :, None] + _FILL_EPS
         ).any(axis=1)
-        over_lane = over_ord.any(axis=1)
-        fits = live & ~over_lane
-        if fits.any():
-            # No over-commit: the whole pending set is granted.
-            granted_ord[fits] = np.where(
-                active[fits, None, :], consume[fits], granted_ord[fits]
-            )
-            active[fits] = False
-        sel = np.flatnonzero(live & over_lane)
-        if not sel.size:
+        over = over_ord.any(axis=1)  # (B,) lanes that over-commit
+        if not over.any():
+            # Every pending set fits: grant it whole.
+            granted_ord += consume
             break
-        first = np.argmax(over_ord[sel], axis=1)  # over is monotone
-        prefix = active[sel] & (pos[None, :] < first[:, None])
-        granted_ord[sel] = np.where(
-            prefix[:, None, :], consume[sel], granted_ord[sel]
-        )
-        for row, b in enumerate(sel):
-            # Compacted prefix sum, exactly as the single-lane kernel
-            # charges its capacity (bit-identical reduction order).
-            taken = consume[b][:, prefix[row]]
+        # Lanes that fit are granted whole and retire; an over-committing
+        # lane grants the prefix before its first over-committing
+        # position (over_ord is monotone along the order).
+        first = over_ord.argmax(axis=1)
+        prefix = active & (pos < first[:, None]) & over[:, None]
+        granted_ord += consume * (prefix | ~over[:, None])[:, None, :]
+        for b in np.flatnonzero(over):
+            # Charge the granted prefix as a compacted sum, so the
+            # capacity left does not depend on padding or batch company.
+            taken = consume[b][:, prefix[b]]
             if taken.shape[1]:
                 left[b] -= taken.sum(axis=1)
-        # Partial grant at each lane's first over-committing position.
-        needs = req_ord[sel, :, first]  # (|sel|, k)
-        needed = needs > 0.0
+        # Partial grant at each over-committing lane's first position:
+        # its binding resource caps the speed fraction.
+        needs = req_ord[lanes, :, first]  # (B, k)
         afford = np.divide(
-            left[sel], needs, out=np.full_like(needs, np.inf), where=needed
+            left, needs, out=np.full_like(needs, np.inf), where=needs > 0.0
         )
-        fraction = np.minimum(fc_ord[sel, first], afford.min(axis=1))
-        partial = fraction[:, None] * np.where(needed, needs, 0.0)
-        granted_ord[sel, :, first] = np.where(
-            fraction[:, None] > 0.0, partial, 0.0
-        )
-        left[sel] -= np.where(fraction[:, None] > 0.0, partial, 0.0)
+        fraction = np.minimum(fc_ord[lanes, first] * over, afford.min(axis=1))
+        grant = np.where(fraction[:, None] > 0.0, fraction[:, None] * needs, 0.0)
+        granted_ord[lanes, :, first] += grant
+        left -= grant
         np.maximum(left, 0.0, out=left)
-        # Retire the served prefix and positions whose needed resources
+        # Retire the served positions and those whose needed resources
         # are exhausted.
-        active[sel] &= pos[None, :] > first[:, None]
-        blocked = (
-            (req_ord[sel] > 0.0) & (left[sel, :, None] <= _FILL_EPS)
-        ).any(axis=1)
-        active[sel] &= ~blocked
-    shares = np.zeros((B, k, m), dtype=np.float64)
-    np.put_along_axis(
-        shares, np.broadcast_to(order[:, None, :], (B, k, m)), granted_ord,
-        axis=2,
-    )
-    return shares
+        active &= (pos > first[:, None]) & over[:, None]
+        active &= ~((req_ord > 0.0) & (left[:, :, None] <= _FILL_EPS)).any(axis=1)
+    shares = np.zeros(B * k * m, dtype=np.float64)
+    shares[flat_k] = granted_ord
+    return shares.reshape(B, k, m)
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .base import (
     register_policy,
     sort_key,
     water_fill,
-    water_fill_array,
     water_fill_array_batch,
 )
 
@@ -77,15 +76,9 @@ class EDFWaterfill(Policy):
         order = sorted(state.active_processors(), key=priority)
         return water_fill(state, order)
 
-    def shares_array(self, state) -> np.ndarray:
+    def shares_batch(self, state) -> np.ndarray:
         # lexsort: last key is primary.  Stable, so exact index
         # tie-breaking matches the exact path's (due, remaining, i).
-        order = np.lexsort(
-            (sort_key(state.remaining), state.active_deadlines)
-        )
-        return water_fill_array(state, order)
-
-    def shares_batch(self, state) -> np.ndarray:
         order = np.lexsort(
             (sort_key(state.remaining), state.active_deadlines), axis=-1
         )
@@ -123,19 +116,9 @@ class WeightedSRPT(Policy):
         order = sorted(state.active_processors(), key=priority)
         return water_fill(state, order)
 
-    def shares_array(self, state) -> np.ndarray:
+    def shares_batch(self, state) -> np.ndarray:
         # Finished/unreleased processors have weight 0; park their
         # density at 0 (they sort first but receive no useful share).
-        density = np.divide(
-            state.remaining,
-            state.active_weights,
-            out=np.zeros_like(state.remaining),
-            where=state.active_weights > 0.0,
-        )
-        order = np.lexsort((sort_key(state.remaining), sort_key(density)))
-        return water_fill_array(state, order)
-
-    def shares_batch(self, state) -> np.ndarray:
         density = np.divide(
             state.remaining,
             state.active_weights,

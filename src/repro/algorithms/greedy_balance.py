@@ -37,7 +37,6 @@ from .base import (
     register_policy,
     sort_key,
     water_fill,
-    water_fill_array,
     water_fill_array_batch,
 )
 
@@ -67,18 +66,12 @@ class GreedyBalance(Policy):
         )
         return water_fill(state, order)
 
-    def shares_array(self, state) -> np.ndarray:
+    def shares_batch(self, state) -> np.ndarray:
         # Same priority as `shares`: more remaining jobs first, then
         # larger remaining work, then index (lexsort's stability gives
-        # the index tie-break; finished processors sort last with zero
-        # useful share, so including them is harmless).
-        order = np.lexsort((-sort_key(state.remaining), -state.jobs_remaining))
-        return water_fill_array(state, order)
-
-    def shares_batch(self, state) -> np.ndarray:
-        # Same priority, one lexsort over the whole batch (lexsort
-        # orders along the last axis, lane by lane); padded processors
-        # carry zero useful share, so their position never matters.
+        # the index tie-break).  One lexsort orders every lane along
+        # the last axis; finished and padded processors carry zero
+        # useful share, so their position never matters.
         order = np.lexsort(
             (-sort_key(state.remaining), -state.jobs_remaining), axis=-1
         )

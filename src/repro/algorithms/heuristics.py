@@ -21,7 +21,6 @@ from .base import (
     register_policy,
     sort_key,
     water_fill,
-    water_fill_array,
     water_fill_array_batch,
 )
 
@@ -57,14 +56,9 @@ class GreedyFinishJobs(Policy):
         )
         return water_fill(state, order)
 
-    def shares_array(self, state) -> np.ndarray:
+    def shares_batch(self, state) -> np.ndarray:
         # Cheapest remaining work first; finished processors sort first
         # with zero useful share, which water-filling ignores.
-        return water_fill_array(
-            state, np.argsort(sort_key(state.remaining), kind="stable")
-        )
-
-    def shares_batch(self, state) -> np.ndarray:
         return water_fill_array_batch(
             state,
             np.argsort(sort_key(state.remaining), axis=-1, kind="stable"),
@@ -92,11 +86,6 @@ class LargestRequirementFirst(Policy):
             key=lambda i: (-state.remaining_work(i), i),
         )
         return water_fill(state, order)
-
-    def shares_array(self, state) -> np.ndarray:
-        return water_fill_array(
-            state, np.argsort(-sort_key(state.remaining), kind="stable")
-        )
 
     def shares_batch(self, state) -> np.ndarray:
         return water_fill_array_batch(
@@ -127,10 +116,6 @@ class FewestRemainingJobsFirst(Policy):
             key=lambda i: (state.jobs_remaining(i), -state.remaining_work(i), i),
         )
         return water_fill(state, order)
-
-    def shares_array(self, state) -> np.ndarray:
-        order = np.lexsort((-sort_key(state.remaining), state.jobs_remaining))
-        return water_fill_array(state, order)
 
     def shares_batch(self, state) -> np.ndarray:
         # Padded processors hold zero remaining jobs, so they sort
@@ -164,16 +149,6 @@ class ProportionalShare(Policy):
 
     name = "proportional-share"
 
-    def shares_array(self, state) -> np.ndarray:
-        if state.num_resources != 1:
-            return self._shares_array_multi(state)
-        total = float(state.remaining.sum())
-        if total == 0.0:
-            return np.zeros(state.num_processors, dtype=np.float64)
-        if total <= 1.0:
-            return state.remaining.copy()
-        return state.remaining / total
-
     def shares_batch(self, state) -> np.ndarray:
         if state.num_resources != 1:
             return self._shares_batch_multi(state)
@@ -182,16 +157,11 @@ class ProportionalShare(Policy):
     @staticmethod
     def _proportional_rows(state) -> np.ndarray:
         # The scalar rule per lane: demand <= 1 grants remaining work
-        # outright, otherwise the row is normalized by its total (a
-        # finished lane's all-zero row passes through unchanged).
+        # outright (division by 1.0 is exact), otherwise the row is
+        # normalized by its total (a finished lane's all-zero row
+        # passes through unchanged).
         total = state.remaining.sum(axis=1, keepdims=True)
-        scaled = np.divide(
-            state.remaining,
-            total,
-            out=np.zeros_like(state.remaining),
-            where=total > 1.0,
-        )
-        return np.where(total > 1.0, scaled, state.remaining)
+        return state.remaining / np.maximum(total, 1.0)
 
     def _shares_batch_multi(self, state) -> np.ndarray:
         req = state.active_req_matrix  # (B, k, m)
@@ -211,7 +181,7 @@ class ProportionalShare(Policy):
         scalar = state.lane_num_resources == 1
         if scalar.any():
             # Single-resource lanes in a mixed batch follow the scalar
-            # rule, as their standalone vector run would.
+            # rule, as a one-lane state of that instance does.
             shares[scalar, 0, :] = self._proportional_rows(state)[scalar]
         return shares
 
@@ -264,17 +234,3 @@ class ProportionalShare(Policy):
             for lane, req in enumerate(reqs):
                 rows[lane][i] = theta * fraction * req
         return rows
-
-    def _shares_array_multi(self, state) -> np.ndarray:
-        req = state.active_req_matrix  # (k, m)
-        rstar = state.active_requirements
-        positive = rstar > 0.0
-        fraction = np.zeros(state.num_processors, dtype=np.float64)
-        fraction[positive] = np.minimum(
-            1.0, state.remaining[positive] / rstar[positive]
-        )
-        consume = req * fraction[None, :]  # full-speed demand per lane
-        demand = consume.sum(axis=1)
-        over = demand > 1.0
-        theta = float((1.0 / demand[over]).min()) if over.any() else 1.0
-        return consume * theta

@@ -31,7 +31,6 @@ from .base import (
     Policy,
     register_policy,
     water_fill,
-    water_fill_array,
     water_fill_array_batch,
 )
 
@@ -80,33 +79,24 @@ class RoundRobin(Policy):
         ]
         return water_fill(state, eligible)
 
-    def shares_array(self, state) -> np.ndarray:
-        # The current phase is 1 + min completed count over *pending*
-        # processors (a pending processor with minimal `done` witnesses
-        # exactly the smallest j of `round_robin_phase`).  Pending --
-        # not merely active -- so that, as in the exact path, a phase
-        # held open by a not-yet-released processor blocks later
-        # phases; unreleased eligibles have zero useful share, so the
-        # water-fill skips them.  The fill order is processor index.
-        pending = state.pending_mask
-        min_done = state.done[pending].min()
-        eligible = np.flatnonzero(pending & (state.done == min_done))
-        return water_fill_array(state, eligible)
-
     def shares_batch(self, state) -> np.ndarray:
-        # Per-lane phase = 1 + min completed count over pending
-        # processors; finished lanes (no pending processor) park their
-        # minimum at int64 max, so nothing is eligible and the lane
-        # receives an all-zero row.
+        # The current phase is 1 + min completed count over *pending*
+        # processors, per lane (a pending processor with minimal `done`
+        # witnesses exactly the smallest j of `round_robin_phase`).
+        # Pending -- not merely active -- so that, as in the exact
+        # path, a phase held open by a not-yet-released processor
+        # blocks later phases; unreleased eligibles have zero useful
+        # share, so the water-fill skips them.  Finished lanes (no
+        # pending processor) park their minimum at int64 max, so
+        # nothing is eligible and the lane receives an all-zero row.
+        # The fill order is processor index.
         pending = state.pending_mask  # (B, m)
         big = np.iinfo(np.int64).max
         min_done = np.where(pending, state.done, big).min(
             axis=1, keepdims=True
         )
         eligible = pending & (state.done == min_done)
-        order = np.broadcast_to(
-            np.arange(state.num_processors), pending.shape
-        )
+        order = np.arange(state.num_processors)[None, :]
         return water_fill_array_batch(state, order, eligible=eligible)
 
 

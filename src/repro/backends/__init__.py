@@ -64,7 +64,7 @@ from .batched import (
 )
 from .crosscheck import CrossCheckResult, cross_validate
 from .exact import ExactBackend
-from .vector import VectorBackend, VectorRuntime, VectorState
+from .vector import VectorBackend, VectorRuntime
 
 __all__ = [
     "Backend",
@@ -78,7 +78,6 @@ __all__ = [
     "ExactBackend",
     "VectorBackend",
     "VectorRuntime",
-    "VectorState",
     "available_backends",
     "cross_validate",
     "get_backend",

@@ -165,7 +165,7 @@ class Backend(ABC):
             instance: the CRSharing instance.
             policy: a :class:`~repro.algorithms.base.Policy` (backends
                 may require specific capabilities, e.g. the vector
-                backend needs ``shares_array``).
+                backend needs ``shares_batch``).
             max_steps: hard safety limit (default:
                 :func:`repro.core.simulator.default_step_limit`).
             record_shares: keep per-step share/progress rows on the
@@ -184,7 +184,7 @@ class Backend(ABC):
         Every backend ``run`` resolves through this before touching the
         policy, so ``get_backend("vector").run(inst, "round-robin")``
         works exactly like passing the policy object -- and capability
-        checks (e.g. the vector backend's ``shares_array`` probe) only
+        checks (e.g. the vector backend's ``shares_batch`` probe) only
         ever see genuine policy objects.
         """
         from ..algorithms import resolve_policy  # local: avoid import cycle

@@ -319,6 +319,7 @@ class BatchRunner:
         from ..algorithms import get_policy
         from ..objectives import get_objective
         from . import get_backend
+        from .batched import require_array_policy
 
         resolved_policy = get_policy(policy)
         get_backend(backend)
@@ -337,15 +338,7 @@ class BatchRunner:
                     "batched execution requires the 'vector' backend, "
                     f"got {backend!r}"
                 )
-            if not (
-                resolved_policy.supports_batch
-                or resolved_policy.supports_vector
-            ):
-                raise BackendError(
-                    f"policy {policy!r} has no array path "
-                    "(neither shares_batch nor shares_array); "
-                    "batched execution cannot run it"
-                )
+            require_array_policy(resolved_policy)
         objectives = tuple(objectives)
         for name in objectives:
             get_objective(name)

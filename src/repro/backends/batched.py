@@ -11,9 +11,9 @@ and advances all of them with one shared array program per step:
 
 * batched water-filling (:func:`repro.algorithms.base.water_fill_array_batch`)
   turns each policy's priority order into per-lane grants with one
-  ``take_along_axis`` + ``cumsum`` + ``clip``;
+  flat-index gather + ``cumsum`` + clip + scatter;
 * completion tests, release unmasking, and successor loading are
-  batched boolean masks and fancy-indexed gathers;
+  batched boolean masks and flat-index gathers;
 * every lane terminates early -- a finished lane's processors hold
   zero remaining work, so it receives all-zero shares and rides along
   masked; once the live fraction of a large batch drops below
@@ -25,13 +25,12 @@ and advances all of them with one shared array program per step:
   tardiness come out as length-``B`` vectors identical to ``B``
   separate :class:`~repro.backends.vector.VectorBackend` runs.
 
-Policies advertise a batched priority path via
-:meth:`repro.algorithms.base.Policy.shares_batch` (the water-filling
-family implements it); policies with only a single-lane
-``shares_array`` are stepped lane by lane through a
-:class:`_LaneView` adapter -- correct, just without the batched
-speedup.  Multi-resource (``k > 1``) lanes likewise fall back to the
-per-lane depletion-rounds fill inside the batched step.
+:class:`BatchVectorState` is the only float64 state and
+:meth:`repro.algorithms.base.Policy.shares_batch` the only array policy
+method: :class:`~repro.backends.vector.VectorRuntime` is the one-lane
+case, running the same fill, the same feasibility check
+(:func:`check_shares`) and the same step body
+(:meth:`BatchVectorState.apply`) and reporting row 0.
 
 Bit-consistency: padded processors carry zero jobs, zero remaining
 work, and zero requirements, so they contribute exact ``0.0`` terms to
@@ -43,15 +42,18 @@ exact backend's makespans.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..core.checkpoint import require_extension, state_flag, state_int
 from ..core.instance import Instance
 from ..exceptions import (
     BackendError,
+    CheckpointError,
     InfeasibleAssignmentError,
     SimulationLimitError,
     VectorizationUnsupportedError,
@@ -68,6 +70,7 @@ __all__ = [
     "BatchVectorState",
     "BatchVectorRuntime",
     "BatchRunResult",
+    "check_shares",
     "run_batch",
 ]
 
@@ -77,19 +80,23 @@ COMPACT_THRESHOLD = 0.5
 
 
 class BatchVectorState:
-    """Float64 view of ``B`` execution states for ``Policy.shares_batch``.
+    """The float64 execution state of ``B`` instance lanes.
 
-    The batch analogue of :class:`~repro.backends.vector.VectorState`:
-    every per-processor array gains a leading lane axis, padded to the
-    batch maxima (``m`` = max processors, ``k`` = max resources,
-    ``n`` = max queue length).  Policies must treat every array as
-    read-only (the runtime owns the mutation).
+    The one array state of the float path: :class:`BatchVectorRuntime`
+    holds ``B`` lanes, and :class:`~repro.backends.vector.VectorRuntime`
+    holds one (``B == 1``, no padding).  Every per-processor array has
+    a leading lane axis, padded to the batch maxima (``m`` = max
+    processors, ``k`` = max resources).  Policies read it through
+    :meth:`~repro.algorithms.base.Policy.shares_batch` and must treat
+    every array as read-only (the state owns the mutation).
 
     Padding invariants: a padded processor has ``num_jobs == 0``,
     zero remaining work, zero requirements, weight 0, deadline
     ``inf``, and release time 0 -- it is never pending, never active,
     and contributes exact zeros to every reduction.  A padded resource
-    row is all zeros.
+    row is all zeros.  The job tables keep at least one padding column
+    past every queue, so loading job ``num_jobs`` (a drained queue)
+    reads exactly those zeros.
 
     Attributes:
         instances: the originating instances, in lane order.
@@ -101,9 +108,15 @@ class BatchVectorState:
         lane_num_resources: per lane, the real resource count.
         num_jobs: ``(B, m)`` total job counts.
         done: ``(B, m)`` completed job counts.
-        remaining: ``(B, m)`` remaining work of the active jobs.
-        active_requirements: ``(B, m)`` bottleneck requirements.
-        active_req_matrix: ``(B, k, m)`` per-resource requirements.
+        remaining: ``(B, m)`` remaining work of the active jobs (0.0
+            once a processor has finished everything, and 0.0 *before*
+            its release time -- unreleased work is invisible to
+            policies).  Multi-resource lanes measure work on the
+            bottleneck resource.
+        active_requirements: ``(B, m)`` bottleneck requirements
+            ``r_ij`` of the active jobs -- the speed cap of Eq. (1).
+        active_req_matrix: ``(B, k, m)`` per-resource requirements (for
+            ``k == 1`` a reshaped alias of ``active_requirements``).
         active_weights: ``(B, m)`` objective weights.
         active_deadlines: ``(B, m)`` due steps (``inf`` when absent).
         resource_spent: ``(B, k)`` cumulative resource-time used.
@@ -139,7 +152,8 @@ class BatchVectorState:
             raise BackendError("batch state needs at least one instance")
         B = len(instances)
         m = max(inst.num_processors for inst in instances)
-        nmax = max(inst.max_jobs for inst in instances)
+        # One padding column past the longest queue (see the class doc).
+        cols = max(inst.max_jobs for inst in instances) + 1
         k = max(inst.num_resources for inst in instances)
         self.instances = tuple(instances)
         self.t = 0
@@ -153,13 +167,13 @@ class BatchVectorState:
         )
         self.num_jobs = np.zeros((B, m), dtype=np.int64)
         self.done = np.zeros((B, m), dtype=np.int64)
-        self._req = np.zeros((B, m, nmax), dtype=np.float64)
-        self._work = np.zeros((B, m, nmax), dtype=np.float64)
-        self._wgt = np.zeros((B, m, nmax), dtype=np.float64)
-        self._dl = np.full((B, m, nmax), np.inf, dtype=np.float64)
+        self._req = np.zeros((B, m, cols), dtype=np.float64)
+        self._work = np.zeros((B, m, cols), dtype=np.float64)
+        self._wgt = np.zeros((B, m, cols), dtype=np.float64)
+        self._dl = np.full((B, m, cols), np.inf, dtype=np.float64)
         self._release = np.zeros((B, m), dtype=np.int64)
         self._reqk = (
-            None if k == 1 else np.zeros((B, k, m, nmax), dtype=np.float64)
+            None if k == 1 else np.zeros((B, k, m, cols), dtype=np.float64)
         )
         # The same job objects -- and, queue by queue, the same *queue
         # tuples* -- recur across lanes (neighborhood batches permute
@@ -266,7 +280,11 @@ class BatchVectorState:
 
     @property
     def pending_mask(self) -> np.ndarray:
-        """``(B, m)`` mask of processors with unfinished jobs."""
+        """``(B, m)`` mask of processors with unfinished jobs.
+
+        Released or not: arrival-aware policies reason about future
+        work too.
+        """
         return self.done < self.num_jobs
 
     @property
@@ -276,7 +294,7 @@ class BatchVectorState:
 
     @property
     def jobs_remaining(self) -> np.ndarray:
-        """``(B, m)`` remaining job counts."""
+        """``(B, m)`` remaining job counts ``n_i(t)``."""
         return self.num_jobs - self.done
 
     @property
@@ -302,40 +320,114 @@ class BatchVectorState:
             return
         newly = ~self._released & (self._release <= self.t)
         if newly.any():
-            bl, bi = np.nonzero(newly)
-            d = self.done[bl, bi]
-            self.remaining[bl, bi] = self._work[bl, bi, d]
-            self.active_requirements[bl, bi] = self._req[bl, bi, d]
-            self.active_weights[bl, bi] = self._wgt[bl, bi, d]
-            self.active_deadlines[bl, bi] = self._dl[bl, bi, d]
-            if self._reqk is not None:
-                self.active_req_matrix[bl, :, bi] = self._reqk[bl, :, bi, d]
+            self._load_active(*np.nonzero(newly))
             self._released |= newly
             self._all_released = bool(self._released.all())
 
-    def advance(self, lanes: np.ndarray, procs: np.ndarray) -> None:
-        """Complete the active jobs at the ``(lane, processor)`` pairs.
-
-        Loads the successor job (or zeros the slot) on each, exactly as
-        :meth:`~repro.backends.vector.VectorState.advance` does per
-        lane.
-        """
-        self.done[lanes, procs] += 1
-        d = self.done[lanes, procs]
-        has_next = d < self.num_jobs[lanes, procs]
-        hl, hi, hd = lanes[has_next], procs[has_next], d[has_next]
-        self.remaining[hl, hi] = self._work[hl, hi, hd]
-        self.active_requirements[hl, hi] = self._req[hl, hi, hd]
-        self.active_weights[hl, hi] = self._wgt[hl, hi, hd]
-        self.active_deadlines[hl, hi] = self._dl[hl, hi, hd]
-        el, ei = lanes[~has_next], procs[~has_next]
-        self.remaining[el, ei] = 0.0
-        self.active_requirements[el, ei] = 0.0
-        self.active_weights[el, ei] = 0.0
-        self.active_deadlines[el, ei] = np.inf
+    def _load_active(self, bl, bi) -> None:
+        """Make job ``done[b, i]`` the active job at the ``(b, i)`` pairs."""
+        d = self.done[bl, bi]
+        self.remaining[bl, bi] = self._work[bl, bi, d]
+        self.active_requirements[bl, bi] = self._req[bl, bi, d]
+        self.active_weights[bl, bi] = self._wgt[bl, bi, d]
+        self.active_deadlines[bl, bi] = self._dl[bl, bi, d]
         if self._reqk is not None:
-            self.active_req_matrix[hl, :, hi] = self._reqk[hl, :, hi, hd]
-            self.active_req_matrix[el, :, ei] = 0.0
+            self.active_req_matrix[bl, :, bi] = self._reqk[bl, :, bi, d]
+
+    def apply(self, shares: np.ndarray, tol: float):
+        """Advance every lane one step under *shares* (Eq. (1)/(2)).
+
+        The requirement caps useful speed, and a job cannot absorb more
+        than its remaining work in one step; ``k > 1`` lanes follow the
+        bottleneck rule (:meth:`_multi_work`).  A job completes when
+        its remaining work drops to ``<= tol``.
+
+        Returns:
+            ``(work, had_work, finished, jobs, lane_work)``: the
+            ``(B, m)`` work processed, the ``(B, m)`` mask of
+            processors active when the step began, the flat slots
+            ``lane * m + processor`` whose job completed (ascending),
+            the completed job indices at those slots, and the ``(B,)``
+            work total per lane.
+        """
+        had_work = self.active_mask
+        if self.num_resources == 1:
+            work = np.minimum(shares, self.active_requirements)
+            np.minimum(work, self.remaining, out=work)
+            np.maximum(work, 0.0, out=work)
+            lane_work = work.sum(axis=1)
+            self.resource_spent[:, 0] += lane_work
+        else:
+            work = self._multi_work(shares)
+            lane_work = work.sum(axis=1)
+        self.remaining -= work
+        finished = np.flatnonzero(had_work & (self.remaining <= tol))
+        jobs = self.advance(finished) if finished.size else finished
+        self.t += 1
+        return work, had_work, finished, jobs, lane_work
+
+    def _multi_work(self, shares: np.ndarray) -> np.ndarray:
+        """Per-processor work under a ``(B, k, m)`` share tensor.
+
+        The bottleneck rule of the multi-resource model, elementwise
+        over lanes: a job runs at speed fraction
+        ``min_l min(s_l, r_l) / r_l`` over the resources it needs,
+        progresses ``fraction * r*`` bottleneck work units (capped by
+        its remaining work), and consumes ``progress_fraction * r_l``
+        of every resource ``l`` (tracked in ``resource_spent``).
+        Single-resource lanes in a mixed batch follow the scalar rule,
+        exactly as a one-lane state of that instance would.
+        """
+        req = self.active_req_matrix  # (B, k, m)
+        rstar = self.active_requirements  # (B, m)
+        needed = req > 0.0
+        ratio = np.divide(
+            np.minimum(shares, req),
+            req,
+            out=np.full_like(req, np.inf),
+            where=needed,
+        )
+        fraction = ratio.min(axis=1)  # (B, m); inf where nothing needed
+        positive = rstar > 0.0
+        work = np.zeros_like(rstar)
+        np.multiply(fraction, rstar, out=work, where=positive)
+        np.minimum(work, self.remaining, out=work, where=positive)
+        np.maximum(work, 0.0, out=work)
+        scalar = self.lane_num_resources == 1
+        if scalar.any():
+            row = np.minimum(shares[:, 0, :], rstar)
+            scalar_work = np.minimum(row, self.remaining)
+            np.maximum(scalar_work, 0.0, out=scalar_work)
+            work[scalar] = scalar_work[scalar]
+        progress = np.divide(work, rstar, out=np.zeros_like(work), where=positive)
+        self.resource_spent += (req * progress[:, None, :]).sum(axis=2)
+        return work
+
+    def advance(self, slots: np.ndarray) -> np.ndarray:
+        """Complete the active jobs at the flat ``lane * m + processor`` *slots*.
+
+        Loads each slot's successor job; a drained queue loads the
+        padding column, which zeros the slot.  Returns the completed
+        job indices.
+        """
+        # The state arrays are C-contiguous, so reshape(-1) is a view
+        # and the flat scatters below write through.
+        cols = self._work.shape[-1]
+        done = self.done.reshape(-1)
+        jobs = done[slots]
+        nxt = jobs + 1
+        done[slots] = nxt
+        cell = slots * cols + nxt
+        self.remaining.reshape(-1)[slots] = self._work.take(cell)
+        self.active_requirements.reshape(-1)[slots] = self._req.take(cell)
+        self.active_weights.reshape(-1)[slots] = self._wgt.take(cell)
+        self.active_deadlines.reshape(-1)[slots] = self._dl.take(cell)
+        if self._reqk is not None:
+            lanes, procs = np.divmod(slots, self.num_processors)
+            self.active_req_matrix[lanes, :, procs] = self._reqk[
+                lanes, :, procs, nxt
+            ]
+        return jobs
 
     def compact(self, keep: np.ndarray) -> None:
         """Shrink the batch to the lanes selected by the *keep* mask.
@@ -378,107 +470,239 @@ class BatchVectorState:
             self._reqk = self._reqk[idx]
             self.active_req_matrix = self.active_req_matrix[idx]
 
+    # ------------------------------------------------------------------
+    # One-lane operations (the live runtime of VectorRuntime)
+    # ------------------------------------------------------------------
+    def _require_one_lane(self, what: str) -> None:
+        if self.num_lanes != 1:
+            raise BackendError(
+                f"{what} needs a one-lane state (this one has "
+                f"{self.num_lanes} lanes)"
+            )
 
-class _LaneView:
-    """Single-lane, real-size view of a batch state.
+    def extend(self, instance: Instance) -> None:
+        """Adopt *instance*, which appends jobs to this state's queues.
 
-    Presents one lane's slices under the
-    :class:`~repro.backends.vector.VectorState` read API, so policies
-    without a :meth:`~repro.algorithms.base.Policy.shares_batch` path
-    run their ordinary ``shares_array`` per lane, bit-identical to a
-    standalone vector run (the views expose exactly the real
-    ``m_lane`` / ``k_lane`` prefix of each array).
+        One-lane states only.  The appended jobs are written into the
+        job tables, whose column capacity doubles whenever a queue
+        outgrows it, so a stream of appends costs amortized ``O(1)``
+        table work per job.  A released queue that had drained loads
+        its first appended job as the active job, with its full work.
+        New processors need a checkpoint restore instead
+        (:func:`repro.core.checkpoint.restore_runtime`).
+
+        Raises:
+            CheckpointError: if *instance* is not a tail-append
+                extension over the same processors.
+        """
+        self._require_one_lane("extend")
+        old = self.instances[0]
+        require_extension(old, instance, same_processors=True)
+        for i, queue in enumerate(old.queues):
+            grown = instance.queues[i]
+            if grown is queue:
+                continue
+            n_old, n_new = len(queue), len(grown)
+            self._reserve(n_new + 1)
+            self._write_jobs(i, n_old, grown[n_old:])
+            self.num_jobs[0, i] = n_new
+            if self.done[0, i] == n_old and self._released[0, i]:
+                self._load_active(0, i)
+        self.instances = (instance,)
+
+    def _reserve(self, columns: int) -> None:
+        """Grow the job tables to at least *columns* job slots."""
+        cap = self._work.shape[-1]
+        if columns <= cap:
+            return
+        cap = max(columns, 2 * cap)
+
+        def grow(table: np.ndarray, fill: float) -> np.ndarray:
+            """*table* copied into *cap* columns, padded with *fill*."""
+            out = np.full((*table.shape[:-1], cap), fill, dtype=np.float64)
+            out[..., : table.shape[-1]] = table
+            return out
+
+        self._req = grow(self._req, 0.0)
+        self._work = grow(self._work, 0.0)
+        self._wgt = grow(self._wgt, 0.0)
+        self._dl = grow(self._dl, np.inf)
+        if self._reqk is not None:
+            self._reqk = grow(self._reqk, 0.0)
+
+    def _write_jobs(self, i: int, start: int, jobs) -> None:
+        """Fill lane 0's table slots ``(i, start)`` onwards from *jobs*."""
+        reqk = self._reqk
+        for j, job in enumerate(jobs, start):
+            self._req[0, i, j] = float(job.requirement)
+            self._work[0, i, j] = float(job.work)
+            self._wgt[0, i, j] = float(job.weight)
+            if job.deadline is not None:
+                self._dl[0, i, j] = float(job.deadline)
+            if reqk is not None:
+                for lane, r in enumerate(job.requirements):
+                    reqk[0, lane, i, j] = float(r)
+
+    def capture(self) -> dict:
+        """JSON-serializable snapshot of a one-lane state.
+
+        Floats survive JSON byte-exactly (``repr`` round-trips float64),
+        so :meth:`restore` is bit-identical.  The job tables are
+        immutable derivations of the instance and are rebuilt, not
+        captured.
+        """
+        self._require_one_lane("capture")
+        return {
+            "t": self.t,
+            "done": self.done[0].tolist(),
+            "remaining": self.remaining[0].tolist(),
+            "resource_spent": self.resource_spent[0].tolist(),
+            "released": self._released[0].tolist(),
+        }
+
+    def restore(self, data: dict) -> None:
+        """Overwrite a one-lane state from a :meth:`capture` payload.
+
+        As with :meth:`repro.core.state.ExecState.restore`, the payload
+        may describe fewer processors than the instance this state was
+        built over (extension restores keep the new queues' fresh
+        state); the active-job views are reloaded from the job tables
+        in place, which preserves the ``k == 1`` aliasing of
+        ``active_req_matrix``.
+
+        Raises:
+            CheckpointError: on malformed payloads (including a
+                non-integer step counter or non-finite work) or any
+                inconsistency with the instance.
+        """
+        self._require_one_lane("restore")
+        m = self.num_processors
+        try:
+            t = state_int(data["t"])
+            done = np.array(
+                [state_int(x) for x in data["done"]], dtype=np.int64
+            )
+            remaining = np.array(
+                [float(x) for x in data["remaining"]], dtype=np.float64
+            )
+            spent = np.array(
+                [float(x) for x in data["resource_spent"]], dtype=np.float64
+            )
+            released = np.array(
+                [state_flag(x) for x in data["released"]], dtype=bool
+            )
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+            raise CheckpointError(f"malformed vector state payload: {exc}") from exc
+        mm = int(done.shape[0])
+        if not (
+            mm == remaining.shape[0] == released.shape[0] and mm <= m
+        ):
+            raise CheckpointError(
+                f"state payload describes {mm} processors "
+                f"(remaining: {remaining.shape[0]}, released: "
+                f"{released.shape[0]}) for an instance with {m}"
+            )
+        if spent.shape[0] != self.num_resources:
+            raise CheckpointError(
+                f"resource ledger has {spent.shape[0]} entries for "
+                f"{self.num_resources} shared resource(s)"
+            )
+        if not np.isfinite(spent).all():
+            raise CheckpointError(f"non-finite resource ledger {spent.tolist()}")
+        if t < 0:
+            raise CheckpointError(f"negative step counter {t}")
+        nn = self.num_jobs[0, :mm]
+        if (done < 0).any() or (done > nn).any():
+            raise CheckpointError(
+                f"done counts {done.tolist()} out of range for queues "
+                f"of {nn.tolist()} jobs"
+            )
+        idx = np.arange(mm)
+        # A drained queue reads the padding column: capacity 0.
+        cap = self._work[0, idx, done]
+        if not ((remaining >= 0.0) & (remaining <= cap)).all():
+            raise CheckpointError(
+                f"remaining work {remaining.tolist()} outside [0, work] "
+                "for the active jobs"
+            )
+        self.t = t
+        self.done[0, :mm] = done
+        self.remaining[0, :mm] = remaining
+        self.resource_spent[0] = spent
+        self._released[0, :mm] = released
+        self._all_released = bool(self._released.all())
+        live = released & (done < nn)
+        self.active_requirements[0, :mm] = np.where(
+            live, self._req[0, idx, done], 0.0
+        )
+        self.active_weights[0, :mm] = np.where(
+            live, self._wgt[0, idx, done], 0.0
+        )
+        self.active_deadlines[0, :mm] = np.where(
+            live, self._dl[0, idx, done], np.inf
+        )
+        if self._reqk is not None:
+            self.active_req_matrix[0, :, :mm] = np.where(
+                live[None, :], self._reqk[0][:, idx, done], 0.0
+            )
+
+
+def require_array_policy(policy) -> None:
+    """Raise unless *policy* implements the array path (``shares_batch``).
+
+    Raises:
+        VectorizationUnsupportedError: for exact-only policies.
     """
+    if not getattr(policy, "supports_batch", False):
+        raise VectorizationUnsupportedError(
+            f"policy {getattr(policy, 'name', policy)!r} does not "
+            "implement shares_batch; use backend='exact'"
+        )
 
-    __slots__ = ("_s", "_b", "_m", "_k")
 
-    def __init__(self, state: BatchVectorState, b: int) -> None:
-        self._s = state
-        self._b = b
-        self._m = int(state.lane_num_processors[b])
-        self._k = int(state.lane_num_resources[b])
+def check_shares(state: BatchVectorState, shares: np.ndarray, tol: float) -> None:
+    """Tolerance-aware feasibility check of one step's shares, every lane.
 
-    @property
-    def instance(self) -> Instance:
-        """The lane's original :class:`~repro.core.instance.Instance`."""
-        return self._s.instances[self._b]
+    Expects one ``(m,)`` row per lane for single-resource states and a
+    ``(k, m)`` matrix per lane otherwise; every share must lie in
+    ``[0, 1]`` and every resource row sum to at most 1, each within
+    *tol*.  NaN and infinite shares are rejected too: the min/max
+    reductions propagate NaN, so no comparison can let one through.
 
-    @property
-    def t(self) -> int:
-        """The shared step counter."""
-        return self._s.t
-
-    @property
-    def num_processors(self) -> int:
-        """The lane's real processor count ``m``."""
-        return self._m
-
-    @property
-    def num_resources(self) -> int:
-        """The lane's real resource count ``k``."""
-        return self._k
-
-    @property
-    def num_jobs(self) -> np.ndarray:
-        """``(m,)`` per-processor job counts."""
-        return self._s.num_jobs[self._b, : self._m]
-
-    @property
-    def done(self) -> np.ndarray:
-        """``(m,)`` per-processor completed-job counts."""
-        return self._s.done[self._b, : self._m]
-
-    @property
-    def remaining(self) -> np.ndarray:
-        """``(m,)`` remaining work of each active job."""
-        return self._s.remaining[self._b, : self._m]
-
-    @property
-    def active_requirements(self) -> np.ndarray:
-        """``(m,)`` bottleneck requirements of the active jobs."""
-        return self._s.active_requirements[self._b, : self._m]
-
-    @property
-    def active_req_matrix(self) -> np.ndarray:
-        """``(k, m)`` per-resource requirements of the active jobs."""
-        if self._k == 1:
-            return self.active_requirements.reshape(1, self._m)
-        return self._s.active_req_matrix[self._b, : self._k, : self._m]
-
-    @property
-    def active_weights(self) -> np.ndarray:
-        """``(m,)`` objective weights of the active jobs."""
-        return self._s.active_weights[self._b, : self._m]
-
-    @property
-    def active_deadlines(self) -> np.ndarray:
-        """``(m,)`` due steps of the active jobs (``inf`` if none)."""
-        return self._s.active_deadlines[self._b, : self._m]
-
-    @property
-    def resource_spent(self) -> np.ndarray:
-        """``(k,)`` cumulative resource-time consumed."""
-        return self._s.resource_spent[self._b, : self._k]
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        """``(m,)`` mask of released processors with unfinished jobs."""
-        return self._s.active_mask[self._b, : self._m]
-
-    @property
-    def pending_mask(self) -> np.ndarray:
-        """``(m,)`` mask of processors with unfinished jobs."""
-        return self._s.pending_mask[self._b, : self._m]
-
-    @property
-    def released_mask(self) -> np.ndarray:
-        """``(m,)`` mask of released processors."""
-        return self._s.released_mask[self._b, : self._m]
-
-    @property
-    def jobs_remaining(self) -> np.ndarray:
-        """``(m,)`` remaining job counts."""
-        return self._s.jobs_remaining[self._b, : self._m]
+    Raises:
+        InfeasibleAssignmentError: wrong shape, non-finite or
+            out-of-range share, or an overused resource.
+    """
+    B, m, k = state.num_lanes, state.num_processors, state.num_resources
+    t = state.t
+    expected = (B, m) if k == 1 else (B, k, m)
+    if shares.shape != expected:
+        raise InfeasibleAssignmentError(
+            f"policy returned shape {shares.shape} shares for {B} "
+            f"lane(s), {m} processors and {k} resource(s) at step {t} "
+            f"(expected {expected})"
+        )
+    lo, hi = shares.min(), shares.max()
+    if not (lo >= -tol and hi <= 1.0 + tol):
+        what = (
+            "share outside [0, 1]"
+            if math.isfinite(lo) and math.isfinite(hi)
+            else "non-finite share"
+        )
+        raise InfeasibleAssignmentError(
+            f"step {t}: {what} (min={lo}, max={hi})"
+        )
+    totals = shares.sum(axis=-1)
+    worst = totals.max()
+    if worst > 1.0 + tol:
+        where = ""
+        if B > 1:
+            lane = int(np.argmax(totals.reshape(B, -1).max(axis=1)))
+            where = f" in lane {lane}"
+        raise InfeasibleAssignmentError(
+            f"step {t}: resource overused{where} (sum of shares = "
+            f"{worst} > 1)"
+        )
 
 
 @dataclass(slots=True)
@@ -497,9 +721,6 @@ class BatchRunResult:
         lane_steps: sum of per-lane makespans -- the useful work the
             batch amortized its dispatch over.
         wall_seconds: end-to-end wall time of the run.
-        batched_policy: True when the policy supplied a
-            ``shares_batch`` path; False means lanes were stepped one
-            by one through ``shares_array`` (the fallback).
         compactions: how many times the runtime shrank the batch to
             its surviving lanes (ragged batches only; 0 when every
             lane finishes near the same step).
@@ -513,7 +734,6 @@ class BatchRunResult:
     steps: int
     lane_steps: int
     wall_seconds: float
-    batched_policy: bool
     compactions: int = 0
     compiled: bool = False
 
@@ -526,10 +746,8 @@ class BatchVectorRuntime:
             mixed processor counts, queue lengths, resource counts,
             releases -- are padded; mixed makespans terminate lanes
             early).
-        policy: the policy (registry name or object).  Must support
-            the vector path; lanes fall back to per-lane
-            ``shares_array`` stepping unless it also implements
-            ``shares_batch``.
+        policy: the policy (registry name or object).  Must implement
+            :meth:`~repro.algorithms.base.Policy.shares_batch`.
         tol: completion / feasibility tolerance (as
             :class:`~repro.backends.vector.VectorBackend`).
 
@@ -550,86 +768,17 @@ class BatchVectorRuntime:
         if tol <= 0:
             raise ValueError("tol must be positive")
         policy = resolve_policy(policy)
-        if not (
-            getattr(policy, "supports_batch", False)
-            or getattr(policy, "supports_vector", False)
-        ):
-            raise VectorizationUnsupportedError(
-                f"policy {getattr(policy, 'name', policy)!r} implements "
-                "neither shares_batch nor shares_array; use backend='exact'"
-            )
+        require_array_policy(policy)
         self.policy = policy
         self.state = BatchVectorState(instances)
         self.tol = float(tol)
-        self.batched_policy = bool(getattr(policy, "supports_batch", False))
 
     # ------------------------------------------------------------------
     # Step phases
     # ------------------------------------------------------------------
     def _query(self) -> np.ndarray:
-        """One share row per lane, batched or via per-lane fallback."""
-        state = self.state
-        if self.batched_policy:
-            return np.asarray(
-                self.policy.shares_batch(state), dtype=np.float64
-            )
-        if state.num_resources == 1:
-            shares = np.zeros(
-                (state.num_lanes, state.num_processors), dtype=np.float64
-            )
-        else:
-            shares = np.zeros(
-                (
-                    state.num_lanes,
-                    state.num_resources,
-                    state.num_processors,
-                ),
-                dtype=np.float64,
-            )
-        lane_done = state.lane_done
-        for b in range(state.num_lanes):
-            if lane_done[b]:
-                continue
-            view = _LaneView(state, b)
-            row = np.asarray(
-                self.policy.shares_array(view), dtype=np.float64
-            )
-            if state.num_resources == 1:
-                shares[b, : view.num_processors] = row
-            elif view.num_resources == 1:
-                shares[b, 0, : view.num_processors] = row
-            else:
-                shares[b, : view.num_resources, : view.num_processors] = row
-        return shares
-
-    def _check(self, shares: np.ndarray) -> None:
-        """Tolerance-aware feasibility check over every lane."""
-        state = self.state
-        tol = self.tol
-        m = state.num_processors
-        k = state.num_resources
-        expected = (
-            (state.num_lanes, m) if k == 1 else (state.num_lanes, k, m)
-        )
-        if shares.shape != expected:
-            raise InfeasibleAssignmentError(
-                f"policy returned shape {shares.shape} shares for a "
-                f"batch of {state.num_lanes} lanes, {m} processors and "
-                f"{k} resource(s) at step {state.t} (expected {expected})"
-            )
-        if (shares < -tol).any() or (shares > 1.0 + tol).any():
-            raise InfeasibleAssignmentError(
-                f"step {state.t}: share outside [0, 1] in batch "
-                f"(min={shares.min()}, max={shares.max()})"
-            )
-        totals = shares.sum(axis=-1)
-        worst = float(totals.max())
-        if worst > 1.0 + tol:
-            lane = int(np.argmax(totals.reshape(state.num_lanes, -1).max(axis=1)))
-            raise InfeasibleAssignmentError(
-                f"step {state.t}: resource overused in lane {lane} "
-                f"(sum of shares = {worst} > 1)"
-            )
+        """One share row per lane from the policy's ``shares_batch``."""
+        return np.asarray(self.policy.shares_batch(self.state), dtype=np.float64)
 
     def _apply(
         self, shares: np.ndarray
@@ -640,63 +789,13 @@ class BatchVectorRuntime:
         the per-lane progress mask.
         """
         state = self.state
-        tol = self.tol
-        had_work = state.active_mask
-        if state.num_resources == 1:
-            speed = np.minimum(shares, state.active_requirements)
-            work = np.minimum(speed, state.remaining)
-            np.maximum(work, 0.0, out=work)
-            state.remaining -= work
-            state.resource_spent[:, 0] += work.sum(axis=1)
-        else:
-            work = self._multi_work(shares)
-            state.remaining -= work
-        finished = had_work & (state.remaining <= tol)
-        completed: list[tuple[int, int, int]] = []
-        bl, bi = np.nonzero(finished)
-        if bl.size:
-            completed = list(
-                zip(bl.tolist(), bi.tolist(), state.done[bl, bi].tolist())
-            )
-            state.advance(bl, bi)
-        progressed = finished.any(axis=1) | (work.sum(axis=1) > tol)
-        state.t += 1
-        return completed, progressed
-
-    def _multi_work(self, shares: np.ndarray) -> np.ndarray:
-        """Per-processor work under a ``(B, k, m)`` share tensor.
-
-        The bottleneck rule, elementwise over lanes; single-resource
-        lanes in a mixed batch are overridden with the scalar rule so
-        every lane stays bit-identical to its standalone vector run.
-        """
-        state = self.state
-        req = state.active_req_matrix  # (B, k, m)
-        rstar = state.active_requirements  # (B, m)
-        needed = req > 0.0
-        ratio = np.divide(
-            np.minimum(shares, req),
-            req,
-            out=np.full_like(req, np.inf),
-            where=needed,
-        )
-        fraction = ratio.min(axis=1)  # (B, m); inf where nothing needed
-        positive = rstar > 0.0
-        work = np.zeros_like(rstar)
-        work[positive] = np.minimum(
-            fraction[positive] * rstar[positive], state.remaining[positive]
-        )
-        np.maximum(work, 0.0, out=work)
-        scalar = state.lane_num_resources == 1
-        if scalar.any():
-            row = np.minimum(shares[:, 0, :], rstar)
-            scalar_work = np.minimum(row, state.remaining)
-            np.maximum(scalar_work, 0.0, out=scalar_work)
-            work[scalar] = scalar_work[scalar]
-        progress = np.zeros_like(work)
-        progress[positive] = work[positive] / rstar[positive]
-        state.resource_spent += (req * progress[:, None, :]).sum(axis=2)
-        return work
+        _, _, finished, jobs, lane_work = state.apply(shares, self.tol)
+        progressed = lane_work > self.tol
+        if not finished.size:
+            return [], progressed
+        lanes, procs = np.divmod(finished, state.num_processors)
+        progressed[lanes] = True
+        return list(zip(lanes.tolist(), procs.tolist(), jobs.tolist())), progressed
 
     # ------------------------------------------------------------------
     # The batched loop
@@ -774,46 +873,51 @@ class BatchVectorRuntime:
         tracer = session.tracer if session is not None else None
         trace_steps = tracer is not None and tracer.enabled
         steps = 0
+        next_limit = int(limits.min())  # no live lane's limit is lower
         while live.any():
-            over = live & (state.t >= limits)
-            if over.any():
-                lane = int(np.argmax(over))
-                raise SimulationLimitError(
-                    f"batched run: lane {int(origin[lane])} did not finish "
-                    f"within {int(limits[lane])} steps "
-                    f"(done={state.done[lane].tolist()})"
-                )
+            if state.t >= next_limit:
+                over = live & (state.t >= limits)
+                if over.any():
+                    lane = int(np.argmax(over))
+                    raise SimulationLimitError(
+                        f"batched run: lane {int(origin[lane])} did not "
+                        f"finish within {int(limits[lane])} steps "
+                        f"(done={state.done[lane].tolist()})"
+                    )
+                next_limit = int(limits[live].min())
             ts = perf_counter() if trace_steps else 0.0
             t = state.t
             state.begin_step()
             shares = self._query()
-            self._check(shares)
+            check_shares(state, shares, self.tol)
             completed, progressed = self._apply(shares)
             steps += 1
             if objectives:
                 for b, i, j in completed:
                     for o in range(len(objectives)):
                         accumulators[o][b].complete((i, j), t)
-            lane_done = state.lane_done
-            newly_done = live & lane_done
-            if newly_done.any():
-                for b in np.flatnonzero(newly_done):
-                    ob = int(origin[b])
-                    makespans[ob] = t + 1
-                    for o in range(len(objectives)):
-                        values[o][ob] = accumulators[o][b].finish(t + 1)
-                live &= ~lane_done
-            waiting = state.lane_waiting
-            stalled = np.where(
-                ~live | progressed | waiting, 0, stalled + 1
-            )
-            if (stalled >= stall_limit).any():
-                lane = int(np.argmax(stalled >= stall_limit))
-                raise SimulationLimitError(
-                    f"batched run: lane {int(origin[lane])} made no "
-                    f"progress for {int(stalled[lane])} consecutive steps "
-                    f"(t={state.t}); aborting"
+            if completed:  # a lane can only finish on a completing step
+                newly_done = live & state.lane_done
+                if newly_done.any():
+                    for b in np.flatnonzero(newly_done):
+                        ob = int(origin[b])
+                        makespans[ob] = t + 1
+                        for o in range(len(objectives)):
+                            values[o][ob] = accumulators[o][b].finish(t + 1)
+                    live &= ~newly_done
+            if progressed[live].all():
+                stalled[:] = 0
+            else:
+                stalled = np.where(
+                    ~live | progressed | state.lane_waiting, 0, stalled + 1
                 )
+                if (stalled >= stall_limit).any():
+                    lane = int(np.argmax(stalled >= stall_limit))
+                    raise SimulationLimitError(
+                        f"batched run: lane {int(origin[lane])} made no "
+                        f"progress for {int(stalled[lane])} consecutive steps "
+                        f"(t={state.t}); aborting"
+                    )
             if trace_steps:
                 tracer.complete(
                     "batched.step",
@@ -847,7 +951,6 @@ class BatchVectorRuntime:
             steps=steps,
             lane_steps=int(makespans.sum()),
             wall_seconds=wall,
-            batched_policy=self.batched_policy,
             compactions=compactions,
         )
         if session is not None:
@@ -901,7 +1004,6 @@ class BatchVectorRuntime:
             steps=int(makespans.max()) if B else 0,
             lane_steps=int(makespans.sum()),
             wall_seconds=wall,
-            batched_policy=self.batched_policy,
             compactions=0,
             compiled=True,
         )
@@ -933,7 +1035,6 @@ class BatchVectorRuntime:
             policy=str(getattr(self.policy, "name", "?")),
             m=self.state.num_processors,
             resources=self.state.num_resources,
-            batched_policy=result.batched_policy,
             compiled=result.compiled,
         )
 

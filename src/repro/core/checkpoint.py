@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -56,12 +57,33 @@ __all__ = [
     "restore_runtime",
     "restore_observers",
     "require_extension",
+    "state_int",
+    "state_flag",
 ]
 
 _FORMAT = "crsharing-checkpoint"
 _VERSION = 1
 #: Runtime kinds with a checkpoint implementation.
 _KINDS = ("exact", "vector")
+
+
+def state_int(value: Any) -> int:
+    """A checkpoint counter (step, done count) read strictly.
+
+    Integers only: a bool, a float such as ``1.5`` or a string raises
+    :class:`TypeError` instead of being truncated or coerced, so
+    ``restore`` can report the payload as malformed.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def state_flag(value: Any) -> bool:
+    """A checkpoint flag read strictly (bools only, else :class:`TypeError`)."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a bool, got {value!r}")
+    return value
 
 
 def _canonical(body: dict[str, Any]) -> str:
@@ -339,9 +361,7 @@ def restore_runtime(
     elif checkpoint.kind == "vector":
         from ..backends.vector import VectorRuntime  # lazy: avoid core->backends cycle
 
-        runtime = VectorRuntime(
-            target, tol=float(checkpoint.state.get("tol", 1e-9))
-        )
+        runtime = VectorRuntime(target)  # restore() adopts the saved tol
     else:  # pragma: no cover - from_dict already rejects unknown kinds
         raise CheckpointError(f"unknown runtime kind {checkpoint.kind!r}")
     runtime.restore(state)

@@ -460,8 +460,8 @@ class KernelRuntime:
         """Short state description used in limit-error messages."""
         return ""
 
-    # The two primitives below need a ``state`` exposing ``t``, ``done``
-    # and ``extend`` (both built-in runtimes have one).
+    # The two primitives below need a ``state`` exposing ``t`` and
+    # ``extend`` (both built-in runtimes have one).
     def extend(self, instance: Instance) -> None:
         """Adopt *instance*, which appends jobs to the existing queues.
 
@@ -493,13 +493,18 @@ class KernelRuntime:
                 f"cannot move the step counter backwards ({state.t} -> {t})"
             )
         instance = self.instance
+        done = self._done_counts()
         for i, release in enumerate(instance.releases):
-            if release < t and state.done[i] < instance.num_jobs(i):
+            if release < t and done[i] < instance.num_jobs(i):
                 raise CheckpointError(
                     f"processor {i} has pending work before step {t}; "
                     "only an idle gap can be skipped"
                 )
         state.t = int(t)
+
+    def _done_counts(self) -> Sequence[int]:
+        """Completed-job count per processor."""
+        return self.state.done
 
 
 class ExactRuntime(KernelRuntime):
@@ -537,16 +542,21 @@ class ExactRuntime(KernelRuntime):
     def query(self, policy) -> tuple[Fraction, ...]:
         """Ask *policy* for exact shares (a vector, or ``k`` rows)."""
         raw = policy(self.state)
-        if self._k == 1:
-            return tuple(to_frac(x) for x in raw)
         try:
-            return tuple(tuple(to_frac(x) for x in row) for row in raw)
-        except TypeError:
+            if self._k == 1:
+                return tuple(to_frac(x) for x in raw)
+            try:
+                return tuple(tuple(to_frac(x) for x in row) for row in raw)
+            except TypeError:
+                raise InfeasibleAssignmentError(
+                    f"policy returned a flat share vector for an instance "
+                    f"with {self._k} shared resources at step {self.state.t}; "
+                    "expected one share row per resource"
+                ) from None
+        except ValueError as exc:  # to_frac: NaN, inf, unparseable text
             raise InfeasibleAssignmentError(
-                f"policy returned a flat share vector for an instance "
-                f"with {self._k} shared resources at step {self.state.t}; "
-                "expected one share row per resource"
-            ) from None
+                f"step {self.state.t}: share is not a finite number ({exc})"
+            ) from exc
 
     def check(self, shares: Sequence[Fraction]) -> None:
         """Exact feasibility check via :func:`check_share_vector`."""
@@ -857,7 +867,7 @@ def run_kernel(
         runtime: the arithmetic adapter owning the execution state.
         policy: the resource-assignment policy (queried via
             ``runtime.query``, so exact runtimes call ``policy(state)``
-            and the vector runtime calls ``policy.shares_array``).
+            and the vector runtime calls ``policy.shares_batch``).
         observers: telemetry hooks, notified in the given order.  An
             exception escaping an observer callback is re-raised as
             :class:`~repro.exceptions.ObserverError` (original

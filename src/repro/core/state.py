@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from ..exceptions import CheckpointError
-from .checkpoint import require_extension
+from .checkpoint import require_extension, state_int
 from .instance import Instance
 from .job import JobId
 from .numerics import ONE, ZERO, to_frac
@@ -215,12 +215,12 @@ class ExecState:
         inst = self.instance
         m = inst.num_processors
         try:
-            t = int(data["t"])
-            done = [int(x) for x in data["done"]]
+            t = state_int(data["t"])
+            done = [state_int(x) for x in data["done"]]
             remaining = [to_frac(x) for x in data["remaining"]]
             spent = [to_frac(x) for x in data["resource_spent"]]
-            started = {(int(i), int(j)) for i, j in data["started"]}
-        except (KeyError, TypeError, ValueError) as exc:
+            started = {(state_int(i), state_int(j)) for i, j in data["started"]}
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise CheckpointError(f"malformed exact state payload: {exc}") from exc
         if t < 0:
             raise CheckpointError(f"negative step counter {t}")

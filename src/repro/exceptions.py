@@ -85,10 +85,10 @@ class BackendError(ReproError):
 
 
 class VectorizationUnsupportedError(BackendError):
-    """A policy without a vectorized ``shares_array`` path was handed
-    to :class:`~repro.backends.VectorBackend`.  Implement
-    :meth:`repro.algorithms.base.Policy.shares_array` or run the policy
-    on the exact backend."""
+    """A policy without an array ``shares_batch`` path was handed to a
+    float64 runtime (:class:`~repro.backends.VectorBackend`, the batch
+    engine).  Implement :meth:`repro.algorithms.base.Policy.shares_batch`
+    or run the policy on the exact backend."""
 
 
 class SequencingError(ReproError):

@@ -15,7 +15,7 @@ directly; they ask this module two questions:
   interpreted kernel raises.
 
 Eligibility is an *exact-type* lookup: a subclass of a built-in policy
-may override ``shares_array``, so only the registered classes
+may override ``shares_batch``, so only the registered classes
 themselves map to driver codes.  Without numba the driver still runs
 (interpreted), but slower than the NumPy per-step path, so
 :func:`decide` keeps such runs per-step (reason ``"numba-missing"``);
@@ -104,7 +104,7 @@ def _policy_codes() -> dict[type, int]:
 def compiled_policy_code(policy: Any) -> int | None:
     """The fused-driver code for *policy*, or ``None``.
 
-    Exact-type match only: subclasses may override ``shares_array``
+    Exact-type match only: subclasses may override ``shares_batch``
     with a different rule, so they never silently inherit the base
     class's compiled path.
     """

@@ -254,7 +254,7 @@ def run_fused(
                 return STATUS_INFEASIBLE, t, completion
 
         # apply: bottleneck work decrement, completions, successor
-        # loads -- the fused VectorRuntime.apply + VectorState.advance.
+        # loads -- the fused BatchVectorState.apply + advance at B == 1.
         total_work = 0.0
         ncompleted = 0
         for i in range(m):

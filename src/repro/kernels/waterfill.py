@@ -1,8 +1,8 @@
 """Compiled water-filling kernels (single- and multi-resource).
 
 Plain-loop implementations of the grant rules behind
-:func:`repro.algorithms.base.water_fill_array` and
-:func:`repro.algorithms.base.water_fill_array_multi`, written in
+:func:`repro.algorithms.base.water_fill_array_batch` (one lane at a
+time, single- and multi-resource), written in
 numba-``@njit``-compatible style: scalar loops, no fancy NumPy
 dispatch, one allocation per call.  With numba installed they compile
 to nopython machine code (cached across processes); without numba they

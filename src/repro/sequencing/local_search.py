@@ -298,7 +298,7 @@ class LocalSearchSequencer(Sequencer):
         """
         return (
             getattr(self.backend, "name", None) == "vector"
-            and getattr(self.policy, "supports_vector", False)
+            and getattr(self.policy, "supports_batch", False)
             and self.batch_lanes == 1
         )
 
@@ -478,9 +478,8 @@ class LocalSearchSequencer(Sequencer):
     def _run_fresh(self, insts: list[Instance]) -> list:
         """Kernel-evaluate uncached orders (batched when possible)."""
         policy = self.policy
-        if getattr(self.backend, "name", None) == "vector" and (
-            getattr(policy, "supports_batch", False)
-            or getattr(policy, "supports_vector", False)
+        if getattr(self.backend, "name", None) == "vector" and getattr(
+            policy, "supports_batch", False
         ):
             from ..backends.batched import run_batch  # local: builds on core
 

@@ -364,13 +364,13 @@ class SchedulingService:
         A queue's active job is untouched until a step has run since
         the queue's release.  The vector state still masks its work to
         0 then, so its full work is read from the ledger on both
-        backends.
+        backends.  The vector state is one-lane: its rows are lane 0.
         """
         state = self._runtime.state
         t = state.t
         done_counts, remaining = state.done, state.remaining
         if self.backend == "vector":  # one conversion, not m scalar reads
-            done_counts, remaining = done_counts.tolist(), remaining.tolist()
+            done_counts, remaining = done_counts[0].tolist(), remaining[0].tolist()
         backlogs: list[float] = []
         total = 0.0
         for i, release in enumerate(self._instance.releases):

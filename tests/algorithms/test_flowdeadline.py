@@ -26,7 +26,7 @@ class TestRegistration:
     def test_registered_with_vector_paths(self):
         for name in ("edf-waterfill", "weighted-srpt"):
             assert name in available_policies()
-            assert get_policy(name).supports_vector
+            assert get_policy(name).supports_batch
 
 
 class TestEDFWaterfill:

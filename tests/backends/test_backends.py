@@ -76,7 +76,7 @@ class TestCrossValidation:
         self, name, seed
     ):
         policy = get_policy(name)
-        assert policy.supports_vector
+        assert policy.supports_batch
         assert_agreement(uniform_instance(3, 5, seed=seed), policy)
 
     @settings(
@@ -120,7 +120,7 @@ class TestVectorBackend:
 
         with pytest.raises(VectorizationUnsupportedError):
             VectorBackend().run(uniform_instance(2, 2, seed=0), ExactOnly())
-        assert not ExactOnly().supports_vector
+        assert not ExactOnly().supports_batch
 
     def test_zero_requirement_jobs(self):
         from repro.core import Instance

@@ -1,4 +1,4 @@
-"""Mechanics of the batched engine: results, fallbacks, errors, telemetry.
+"""Mechanics of the batched engine: results, capability, errors, telemetry.
 
 The fine-grained behavior contract of
 :class:`~repro.backends.batched.BatchVectorRuntime` and the
@@ -23,17 +23,8 @@ from repro.exceptions import (
     SimulationLimitError,
     VectorizationUnsupportedError,
 )
-from repro.generators import bag_instance, uniform_instance, with_arrivals
+from repro.generators import bag_instance
 from repro.telemetry import TelemetrySession, use_session
-
-
-class _ArrayOnlyBalance(GreedyBalance):
-    """GreedyBalance stripped of its batched path (fallback probe)."""
-
-    name = "array-only-balance"
-    # Reinstating the base default makes ``supports_batch`` False, so
-    # the runtime must step this policy lane by lane via shares_array.
-    shares_batch = Policy.shares_batch
 
 
 class _ExactOnly(Policy):
@@ -50,9 +41,6 @@ class _Overcommit(Policy):
 
     name = "overcommit"
 
-    def shares_array(self, state):  # pragma: no cover - batch path wins
-        raise NotImplementedError
-
     def shares_batch(self, state):
         return np.full(
             (state.num_lanes, state.num_processors), 1.0, dtype=np.float64
@@ -63,9 +51,6 @@ class _WrongShape(Policy):
     """Claims the batch path, then returns a single-lane row."""
 
     name = "wrong-shape"
-
-    def shares_array(self, state):  # pragma: no cover - batch path wins
-        raise NotImplementedError
 
     def shares_batch(self, state):
         return np.zeros(state.num_processors, dtype=np.float64)
@@ -85,7 +70,6 @@ class TestRunResult:
         assert result.steps == int(result.makespans.max())
         assert result.lane_steps == int(result.makespans.sum())
         assert result.wall_seconds > 0
-        assert result.batched_policy is True
 
     def test_objective_vectors_in_lane_order(self):
         insts = _batch(3)
@@ -101,26 +85,6 @@ class TestRunResult:
 
 
 class TestFallback:
-    def test_array_only_policy_falls_back_lane_by_lane(self):
-        insts = _batch(4, seed=7)
-        fallback = run_batch(insts, _ArrayOnlyBalance())
-        batched = run_batch(insts, GreedyBalance())
-        assert fallback.batched_policy is False
-        assert batched.batched_policy is True
-        # The fallback is slower, never different.
-        assert fallback.makespans.tolist() == batched.makespans.tolist()
-
-    def test_fallback_handles_arrivals(self):
-        insts = [
-            with_arrivals(
-                uniform_instance(3, 3, seed=s), max_release=4, seed=s
-            )
-            for s in range(3)
-        ]
-        fallback = run_batch(insts, _ArrayOnlyBalance())
-        batched = run_batch(insts, GreedyBalance())
-        assert fallback.makespans.tolist() == batched.makespans.tolist()
-
     def test_exact_only_policy_is_rejected(self):
         with pytest.raises(VectorizationUnsupportedError, match="exact-only"):
             BatchVectorRuntime(_batch(), _ExactOnly())
@@ -164,7 +128,6 @@ class TestTelemetry:
         assert span.attrs["steps"] == result.steps
         assert span.attrs["lane_steps"] == result.lane_steps
         assert span.attrs["policy"] == "greedy-balance"
-        assert span.attrs["batched_policy"] is True
         metrics = session.metrics
         assert metrics.gauge("batch.lanes").value == 5
         assert metrics.counter("batched.runs").value == 1

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro.backends.batched
-from repro.algorithms.base import _fill_arrays_batch_multi, _fill_arrays_multi
+from repro.algorithms.base import _fill_arrays_batch_multi
 from repro.backends import BatchRunner, run_batch
 from repro.generators import (
     multi_resource_instance,
@@ -118,7 +118,7 @@ class TestCompactionEquivalence:
 
 
 class TestBatchedMultiFillBitIdentity:
-    """Satellite check: the (B, k, m) fill == the per-lane fill, bitwise."""
+    """The (B, k, m) fill == the same fill run one lane at a time, bitwise."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_per_lane_fill(self, seed):
@@ -135,13 +135,14 @@ class TestBatchedMultiFillBitIdentity:
             remaining, rstar, req_matrix, order, eligible, 1.0
         )
         for b in range(B):
-            # The per-lane core has no eligibility mask; zeroing the
-            # remaining work retires a processor the same way.
+            # Alone, with the eligibility mask folded into the remaining
+            # work (zero remaining work retires a processor the same way).
             masked = np.where(eligible[b], remaining[b], 0.0)
-            want = _fill_arrays_multi(
-                masked, rstar[b], req_matrix[b], order[b], 1.0
+            want = _fill_arrays_batch_multi(
+                masked[None], rstar[b][None], req_matrix[b][None],
+                order[b][None], None, 1.0,
             )
-            assert np.array_equal(got[b], want), b
+            assert np.array_equal(got[b], want[0]), b
 
 
 def _both_paths(numba_available, run):

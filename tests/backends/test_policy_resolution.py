@@ -112,7 +112,7 @@ class TestEntryPoints:
 class TestVectorCapabilityCheck:
     def test_string_policy_is_resolved_not_misreported(self, inst):
         # Before the fix this raised VectorizationUnsupportedError
-        # claiming 'round-robin' lacks shares_array -- it does not.
+        # claiming 'round-robin' lacks its array path -- it does not.
         result = get_backend("vector").run(inst, "round-robin")
         assert result.makespan == run_policy(inst, "round-robin").makespan
 
@@ -125,7 +125,7 @@ class TestVectorCapabilityCheck:
 
         with pytest.raises(VectorizationUnsupportedError) as err:
             get_backend("vector").run(inst, ExactOnly())
-        assert "shares_array" in str(err.value)
+        assert "shares_batch" in str(err.value)
 
     def test_unknown_string_raises_unknown_policy_not_capability(self, inst):
         with pytest.raises(UnknownPolicyError):

@@ -163,7 +163,7 @@ class TestSerializationExactness:
         assert back.state == ckpt.state  # repr round-trip is exact
         rt2 = restore_runtime(back)
         assert rt2.tol == rt.tol
-        assert list(rt2.state.remaining) == list(rt.state.remaining)
+        assert rt2.state.remaining.tolist() == rt.state.remaining.tolist()
 
     def test_finished_run_checkpoints(self, annotated_instance):
         rt = ExactRuntime(annotated_instance)
@@ -238,6 +238,50 @@ class TestCorruption:
         )
         with pytest.raises(CheckpointError):
             restore_runtime(bad)
+
+
+def _resigned(ckpt: KernelCheckpoint, **changes) -> KernelCheckpoint:
+    """*ckpt* with its state payload edited and a valid digest again."""
+    edited = KernelCheckpoint(
+        kind=ckpt.kind,
+        instance=ckpt.instance,
+        state={**ckpt.state, **changes},
+        observers=ckpt.observers,
+    )
+    return KernelCheckpoint.from_json(edited.to_json())
+
+
+class TestRestoreRejectsMalformedState:
+    """Digest-valid but ill-typed payloads raise CheckpointError."""
+
+    @pytest.fixture(params=BACKENDS)
+    def checkpoint(self, request, annotated_instance) -> KernelCheckpoint:
+        rt = _runtime(request.param, annotated_instance)
+        run_kernel(rt, get_policy("greedy-balance"), stop=lambda r: r.t >= 2)
+        return checkpoint_run(rt)
+
+    def test_fractional_step_counter(self, checkpoint):
+        with pytest.raises(CheckpointError, match="malformed"):
+            restore_runtime(_resigned(checkpoint, t=1.5))
+
+    def test_fractional_done_count(self, checkpoint):
+        done = [*checkpoint.state["done"]]
+        done[0] = 0.5
+        with pytest.raises(CheckpointError, match="malformed"):
+            restore_runtime(_resigned(checkpoint, done=done))
+
+    def test_nan_remaining_work(self, checkpoint):
+        remaining = [*checkpoint.state["remaining"]]
+        remaining[0] = float("nan")
+        with pytest.raises(CheckpointError):
+            restore_runtime(_resigned(checkpoint, remaining=remaining))
+
+    @pytest.mark.parametrize("tol", ["abc", 0, -1.0, float("nan"), float("inf"), True])
+    def test_bad_vector_tolerance(self, annotated_instance, tol):
+        rt = VectorRuntime(annotated_instance)
+        run_kernel(rt, get_policy("greedy-balance"), stop=lambda r: r.t >= 2)
+        with pytest.raises(CheckpointError, match="tolerance"):
+            restore_runtime(_resigned(checkpoint_run(rt), tol=tol))
 
 
 class TestObserverRestore:
@@ -337,7 +381,7 @@ class TestDrainedQueueExtension:
         small = Instance.from_percent([[10], [50, 50, 50]])
         rt = _runtime(kind, small)
         run_kernel(rt, get_policy("greedy-balance"), stop=lambda r: r.t >= 1)
-        assert int(rt.state.done[0]) == 1  # queue 0 has drained
+        assert rt.capture()["done"][0] == 1  # queue 0 has drained
         return rt, small.appended(0, self.APPENDED)
 
     @pytest.mark.parametrize("kind", BACKENDS)

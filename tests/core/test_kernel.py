@@ -116,13 +116,53 @@ class TestUniformInfeasibility:
 
     def test_vector_backend_raises_infeasible(self, two_proc_instance):
         class OverGrant(GreedyBalance):
-            def shares_array(self, state):
+            def shares_batch(self, state):
                 import numpy as np
 
-                return np.ones(state.num_processors)
+                return np.ones((state.num_lanes, state.num_processors))
 
         with pytest.raises(InfeasibleAssignmentError, match="overused"):
             VectorBackend().run(two_proc_instance, OverGrant())
+
+
+class _BadShare(GreedyBalance):
+    """Grants processor 0 a non-finite share on every path."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def shares(self, state):
+        return [self.bad] + [0] * (state.num_processors - 1)
+
+    def shares_batch(self, state):
+        import numpy as np
+
+        rows = np.zeros((state.num_lanes, state.num_processors))
+        rows[:, 0] = self.bad
+        return rows
+
+
+class TestNonFiniteShares:
+    """NaN and infinite shares are infeasible on every runtime."""
+
+    BAD = [float("nan"), float("inf"), float("-inf")]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_exact(self, two_proc_instance, bad):
+        with pytest.raises(InfeasibleAssignmentError, match="step 0"):
+            simulate(two_proc_instance, _BadShare(bad))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_vector(self, two_proc_instance, bad):
+        with pytest.raises(InfeasibleAssignmentError, match="step 0"):
+            VectorBackend().run(two_proc_instance, _BadShare(bad))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_batched(self, two_proc_instance, bad):
+        from repro.backends import run_batch
+
+        with pytest.raises(InfeasibleAssignmentError, match="step 0"):
+            run_batch([two_proc_instance] * 2, _BadShare(bad))
 
 
 class TestShareRecordingSafety:
@@ -131,17 +171,18 @@ class TestShareRecordingSafety:
         corrupt previously recorded rows (recorder copies ndarrays)."""
         import numpy as np
 
-        from repro.algorithms.base import water_fill_array
+        from repro.algorithms.base import water_fill_array_batch
 
         class BufferReuser(GreedyBalance):
             def __init__(self):
                 self._buf = None
 
-            def shares_array(self, state):
-                fresh = water_fill_array(
+            def shares_batch(self, state):
+                fresh = water_fill_array_batch(
                     state,
                     np.lexsort(
-                        (-np.round(state.remaining, 9), -state.jobs_remaining)
+                        (-np.round(state.remaining, 9), -state.jobs_remaining),
+                        axis=-1,
                     ),
                 )
                 if self._buf is None:
